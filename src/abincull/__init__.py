@@ -9,7 +9,6 @@ bounding-box baseline, sampling oracles, and a benchmark CLI.
 """
 
 from .baseline import (
-    Aabb3,
     ClassificationRun,
     ComparisonReport,
     UnsoundFlag,

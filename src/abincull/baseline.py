@@ -25,7 +25,6 @@ from .frustum import Frustum
 from .quadratic import Box3
 
 __all__ = [
-    "Aabb3",
     "ClassificationRun",
     "UnsoundFlag",
     "ComparisonReport",
@@ -35,13 +34,10 @@ __all__ = [
     "compare_classifications",
 ]
 
-# World-space axis-aligned box; same invariants as the parameter-space box.
-Aabb3 = Box3
-
 DEFAULT_ORACLE_LATTICE = (33, 33, 5)
 
 
-def world_aabb_of_bin(map_fn, center, bin_offsets: Box3) -> Aabb3:
+def world_aabb_of_bin(map_fn, center, bin_offsets: Box3) -> Box3:
     """Hull of the true-mapped corners of an (uninflated) bin.
 
     map_fn maps (n, 3) parameter points to world points.  Only the 8
@@ -50,10 +46,10 @@ def world_aabb_of_bin(map_fn, center, bin_offsets: Box3) -> Aabb3:
     """
     corners = np.asarray(center, dtype=float) + bin_offsets.corners()
     world = np.asarray(map_fn(corners), dtype=float)
-    return Aabb3(world.min(axis=0), world.max(axis=0))
+    return Box3(world.min(axis=0), world.max(axis=0))
 
 
-def classify_aabb8(box: Aabb3, frustum: Frustum) -> Classification:
+def classify_aabb8(box: Box3, frustum: Frustum) -> Classification:
     """Classic per-plane signed-distance test of the 8 box corners."""
     dists = frustum.signed_distances(box.corners())  # (8, 6)
     if bool(np.any(dists.min(axis=0) > 0.0)):

@@ -5,10 +5,11 @@ plus one visible-tile JSON per (method, frame).  stats.csv is byte-stable
 across repeated runs, so its elapsed_ns column is a fixed 0 placeholder;
 measured wall times go to timings.csv, which is host-dependent by nature.
 
-``compare`` additionally classifies the start-level grid with every method
-and the sampling oracle, oracle-checks every tile a traversal pruned, and
-writes a comparison report with per-frame INTERSECT ratios and UNSOUND
-flags (tiles claimed OUTSIDE that provably contain visible surface).
+``compare`` additionally reads each method's start-level grid verdicts back
+from its traversal, classifies the same grid with the sampling oracle,
+oracle-checks every tile a traversal pruned, and writes a comparison report
+with per-frame INTERSECT ratios and UNSOUND flags (tiles claimed OUTSIDE
+that provably contain visible surface).
 """
 
 from __future__ import annotations
@@ -44,15 +45,14 @@ from .quadratic import (
     box_extrema_nine_point,
     stationary_point,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, resolve_method
+from .scenario import METHOD_NAMES, Scenario, ScenarioError, load_scenario
 from .terrain import (
     IngestError,
     build_minmax_pyramid,
-    classify_tile,
     root_tiles,
     synth_heightfield,
+    tile_bin,
     traverse,
-    _tile_with_pyramid_heights,
 )
 
 STATS_COLUMNS = ("frame", "method", "visited", "outside", "inside", "intersect",
@@ -61,7 +61,7 @@ STATS_COLUMNS = ("frame", "method", "visited", "outside", "inside", "intersect",
 
 def _method_config(scenario: Scenario, method_name: str):
     """Terrain config with the extrema mode the method name implies."""
-    method, mode = resolve_method(method_name)
+    method, mode = METHOD_NAMES[method_name]
     cull = scenario.terrain.cull
     if mode is not None:
         cull = dataclasses.replace(cull, extrema_mode=mode)
@@ -79,13 +79,14 @@ def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, pyramid = _prepare(scenario, base_dir)
+    configs = {name: _method_config(scenario, name) for name in scenario.methods}
 
     rows = []
     timing_rows = []
     for frame, pose in enumerate(scenario.cameras):
         frustum = frustum_from_camera(pose)
         for method_name in scenario.methods:
-            method, cfg = _method_config(scenario, method_name)
+            method, cfg = configs[method_name]
             visible, stats = traverse(frustum, cfg, pyramid, scenario.geodetic,
                                       method)
             row = {
@@ -116,57 +117,50 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
     """Run all methods plus the oracle; build the comparison report.
 
     Per frame: every method traverses independently (stats feed the
-    INTERSECT ratio), the start-level grid is classified by every method
-    and by the oracle (the identical-tile-set pair table), and every tile a
-    traversal pruned is oracle-checked so unsound prunes at any depth are
-    flagged.  ``frame_callback(frame, frustum, classified_by_method)`` sees
-    each frame's full classification maps before they are discarded.
+    INTERSECT ratio).  ``traverse`` classifies the whole start-level grid
+    first, so each method's grid verdicts are read back from its
+    classification map and the oracle classifies the same tiles (the
+    identical-tile-set pair table).  Every tile a traversal pruned is
+    oracle-checked so unsound prunes at any depth are flagged.
+    ``frame_callback(frame, frustum, classified_by_method)`` sees each
+    frame's full classification maps before they are discarded.
     """
     if len(scenario.methods) < 2:
         raise ScenarioError("$.methods: compare needs at least 2 methods")
     if not scenario.oracle_enabled:
         raise ScenarioError("$.oracle.enabled: compare needs the oracle enabled")
 
-    from .terrain import tile_bin
-
     _, pyramid = _prepare(scenario, base_dir)
     params = scenario.geodetic
     map_fn = lambda pts: sphere_point(params, pts)
+    configs = {name: _method_config(scenario, name) for name in scenario.methods}
+    start_ids = [tile.tile_id for tile in root_tiles(scenario.terrain)]
 
     grid_runs = {name: {} for name in scenario.methods}
     oracle_grid = {}
     stats_by_method = {name: [] for name in scenario.methods}
     pruned_flags = []  # (frame, tile_id, method, oracle_state)
 
-    start_tiles_template = root_tiles(scenario.terrain)
-
     for frame, pose in enumerate(scenario.cameras):
         frustum = frustum_from_camera(pose)
-        start_tiles = [_tile_with_pyramid_heights(t, pyramid)
-                       for t in start_tiles_template]
 
-        oracle_wanted = {tile.tile_id: tile for tile in start_tiles}
+        oracle_wanted = {}
         pruned_by_method = {}
         classified_by_method = {}
         for method_name in scenario.methods:
-            method, cfg = _method_config(scenario, method_name)
-
-            grid_states = {}
-            for tile in start_tiles:
-                grid_states[tile.tile_id] = classify_tile(tile, frustum, params,
-                                                          method, cfg.cull)
-            grid_runs[method_name][frame] = grid_states
-
+            method, cfg = configs[method_name]
             classified = {}
             sink = lambda tile, cls, _c=classified: _c.__setitem__(tile.tile_id, (tile, cls))
             _, stats = traverse(frustum, cfg, pyramid, params, method, sink=sink)
             stats_by_method[method_name].append(stats)
             classified_by_method[method_name] = classified
+            grid_runs[method_name][frame] = {tile_id: classified[tile_id][1]
+                                             for tile_id in start_ids}
 
             pruned = [tile_id for tile_id, (tile, cls) in classified.items()
                       if cls is Classification.OUTSIDE]
             pruned_by_method[method_name] = pruned
-            for tile_id in pruned:
+            for tile_id in (*start_ids, *pruned):
                 oracle_wanted.setdefault(tile_id, classified[tile_id][0])
 
         oracle_states = {}
@@ -181,8 +175,7 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
                 if verdict is not Classification.OUTSIDE:
                     pruned_flags.append((frame, tile_id, method_name,
                                          verdict.value))
-        oracle_grid[frame] = {tile.tile_id: oracle_states[tile.tile_id]
-                              for tile in start_tiles}
+        oracle_grid[frame] = {tile_id: oracle_states[tile_id] for tile_id in start_ids}
         if frame_callback is not None:
             frame_callback(frame, frustum, classified_by_method)
 
@@ -269,32 +262,33 @@ def _load_with_overrides(args) -> Scenario:
 # selftest suites
 # ---------------------------------------------------------------------------
 
-def _random_quadratic(rng) -> ScalarQuadratic:
-    b = rng.normal(size=3) * 3.0
+def random_quadratic(rng, scale=3.0):
     m = rng.normal(size=(3, 3))
-    return ScalarQuadratic(rng.normal() * 2.0, b, 0.5 * (m + m.T))
+    return ScalarQuadratic(rng.normal() * 2.0, rng.normal(size=3) * scale,
+                           0.5 * (m + m.T))
 
 
-def _random_box(rng, degenerate_p=0.1) -> Box3:
+def random_box(rng, degenerate=False):
     center = rng.uniform(-5.0, 5.0, size=3)
     half = rng.uniform(0.05, 3.0, size=3)
-    if rng.random() < degenerate_p:
+    if degenerate:
         half[rng.integers(0, 3)] = 0.0
     return Box3(center - half, center + half)
 
 
-def _random_pose(rng) -> CameraPose:
+def random_pose(rng):
     while True:
         look = rng.normal(size=3)
         if np.linalg.norm(look) > 1e-6:
+            look /= np.linalg.norm(look)
             break
-    look = look / np.linalg.norm(look)
     while True:
         up = rng.normal(size=3)
-        if np.linalg.norm(up) > 1e-6 and abs(up @ look) / np.linalg.norm(up) < 0.95:
+        n = np.linalg.norm(up)
+        if n > 1e-6 and abs(up @ look) / n < 0.9:
             break
     near = rng.uniform(0.1, 10.0)
-    return CameraPose(rng.uniform(-100.0, 100.0, size=3), look, up,
+    return CameraPose(rng.uniform(-100, 100, 3), look, up,
                       rng.uniform(0.3, 2.5), rng.uniform(0.5, 2.5),
                       near, near * rng.uniform(2.0, 100.0))
 
@@ -313,8 +307,8 @@ def _suite_sphere_fd(rng) -> tuple[bool, str]:
 def _suite_extrema(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(60):
-        q = _random_quadratic(rng)
-        box = _random_box(rng)
+        q = random_quadratic(rng)
+        box = random_box(rng, degenerate=rng.random() < 0.1)
         exact = box_extrema_exact(q, box)
         nine = box_extrema_nine_point(q, box)
         grid = box_extrema_grid(q, box, 41)
@@ -338,7 +332,7 @@ def _suite_extrema(rng) -> tuple[bool, str]:
 def _suite_identity_equivalence(rng) -> tuple[bool, str]:
     cfg = CullConfig(inflation=1.0, extrema_mode=ExtremaMode.EXACT)
     for _ in range(200):
-        frustum = frustum_from_camera(_random_pose(rng))
+        frustum = frustum_from_camera(random_pose(rng))
         center = rng.uniform(-300.0, 300.0, size=3)
         half = rng.uniform(0.1, 50.0, size=3)
         offsets = Box3(-half, half)
@@ -352,7 +346,7 @@ def _suite_identity_equivalence(rng) -> tuple[bool, str]:
 
 def _suite_frustum_geometry(rng) -> tuple[bool, str]:
     for _ in range(50):
-        pose = _random_pose(rng)
+        pose = random_pose(rng)
         frustum = frustum_from_camera(pose)
         corners = frustum_corners(pose)
         if not frustum.contains(corners.mean(axis=0)):

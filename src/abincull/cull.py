@@ -31,6 +31,7 @@ from .quadratic import (
     ScalarQuadratic,
     _extrema_exact,
     _extrema_nine_point,
+    _unpack,
 )
 
 __all__ = [
@@ -118,14 +119,8 @@ def classify_against_plane(q: ScalarQuadratic, d: float, bin_box: Box3,
                            mode: ExtremaMode) -> PlaneState:
     """Three-way test of an (already inflated) bin against one plane."""
     lo, hi = bin_box.lo, bin_box.hi
-    args = (q.constant, float(q.linear[0]), float(q.linear[1]), float(q.linear[2]),
-            float(q.hessian[0, 0]), float(q.hessian[0, 1]), float(q.hessian[0, 2]),
-            float(q.hessian[1, 1]), float(q.hessian[1, 2]), float(q.hessian[2, 2]),
-            lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
-    if mode is ExtremaMode.EXACT:
-        mn, mx, _, _ = _extrema_exact(*args)
-    else:
-        mn, mx, _, _ = _extrema_nine_point(*args)
+    extrema = _extrema_exact if mode is ExtremaMode.EXACT else _extrema_nine_point
+    mn, mx, _, _ = extrema(*_unpack(q), lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
     return _plane_state(mn, mx, float(d))
 
 
@@ -165,17 +160,6 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
     return Classification.INTERSECT
 
 
-def _classify_bin_fast(jet: MapJet, lo, hi, frustum: Frustum,
-                       mode: ExtremaMode) -> Classification:
-    """Array-input wrapper around the scalar classification path."""
-    return _classify_bin_scalars(
-        jet.value.tolist(), jet.jacobian.tolist(),
-        jet.hessians[0].tolist(), jet.hessians[1].tolist(), jet.hessians[2].tolist(),
-        float(lo[0]), float(lo[1]), float(lo[2]),
-        float(hi[0]), float(hi[1]), float(hi[2]),
-        frustum, mode)
-
-
 def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,
                  cfg: CullConfig = CullConfig()) -> Classification:
     """Classify the image of a parameter bin against the whole frustum.
@@ -186,5 +170,9 @@ def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,
     bin immediately, and only a bin fully inside all six planes is INSIDE.
     """
     inflated = inflate_bin(bin_offsets, cfg.inflation)
-    return _classify_bin_fast(jet, inflated.lo, inflated.hi, frustum,
-                              cfg.extrema_mode)
+    lo, hi = inflated.lo.tolist(), inflated.hi.tolist()
+    return _classify_bin_scalars(
+        jet.value.tolist(), jet.jacobian.tolist(),
+        jet.hessians[0].tolist(), jet.hessians[1].tolist(), jet.hessians[2].tolist(),
+        lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
+        frustum, cfg.extrema_mode)

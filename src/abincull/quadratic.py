@@ -34,6 +34,9 @@ __all__ = [
 # as singular and the caller falls back to boundary-only candidates.
 SINGULAR_TOL = 1e-12
 
+# Row k selects hi on the axes whose bit is set, in itertools.product order.
+_CORNER_BITS = np.array(list(itertools.product((False, True), repeat=3)))
+
 
 def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
@@ -102,10 +105,7 @@ class Box3:
 
     def corners(self) -> np.ndarray:
         """The 8 corners, shape (8, 3), in lexicographic bit order."""
-        out = np.empty((8, 3))
-        for k, bits in enumerate(itertools.product((0, 1), repeat=3)):
-            out[k] = [self.hi[a] if b else self.lo[a] for a, b in enumerate(bits)]
-        return out
+        return np.where(_CORNER_BITS, self.hi, self.lo)
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = _as_vec3(x)

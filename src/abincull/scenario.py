@@ -36,7 +36,6 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "orbit_cameras",
-    "resolve_method",
 ]
 
 # CLI-facing method names and their (traversal method, extrema mode) meaning.
@@ -49,13 +48,6 @@ METHOD_NAMES = {
 
 class ScenarioError(ValueError):
     """Invalid scenario; the message names the JSON path at fault."""
-
-
-def resolve_method(name: str):
-    if name not in METHOD_NAMES:
-        raise ScenarioError(
-            f"methods: unknown method {name!r}; expected one of {sorted(METHOD_NAMES)}")
-    return METHOD_NAMES[name]
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,13 @@ def _expect(obj, key, path, default=None, required=False):
 def _as_number(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_pair(value, path):
@@ -168,8 +166,8 @@ def _parse_orbit(obj, path, radius_m) -> list[CameraPose]:
             plane=_expect(obj, "plane", path, default="equatorial"),
             fov_y=_as_number(_expect(obj, "fov_y", path, default=1.0), f"{path}.fov_y"),
             aspect=_as_number(_expect(obj, "aspect", path, default=1.2), f"{path}.aspect"),
-            near_m=obj.get("near_m"),
-            far_m=obj.get("far_m"),
+            **{key: _as_number(obj[key], f"{path}.{key}")
+               for key in ("near_m", "far_m") if obj.get(key) is not None},
             phase=_as_number(_expect(obj, "phase", path, default=0.0), f"{path}.phase"),
         )
     except ScenarioError:

@@ -32,12 +32,16 @@ from abincull import (
     sphere_jet,
     tile_bin,
 )
-from abincull.cli import main, run_compare
+from abincull.cli import (
+    main,
+    random_box,
+    random_pose,
+    random_quadratic,
+    run_compare,
+)
 from abincull.scenario import load_scenario
 
 from conftest import repo_root
-from test_frustum import random_pose
-from test_quadratic import random_box, random_quadratic
 
 RESULTS = []
 

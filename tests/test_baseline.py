@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from abincull import (
-    Aabb3,
     Box3,
     CameraPose,
     Classification,
@@ -57,15 +56,15 @@ class TestWorldAabb:
 
 class TestClassifyAabb8:
     def test_beyond_far(self, canonical_frustum):
-        box = Aabb3([-0.5, -0.5, -150.5], [0.5, 0.5, -149.5])
+        box = Box3([-0.5, -0.5, -150.5], [0.5, 0.5, -149.5])
         assert classify_aabb8(box, canonical_frustum) is OUT
 
     def test_interior(self, canonical_frustum):
-        box = Aabb3([-0.5, -0.5, -50.5], [0.5, 0.5, -49.5])
+        box = Box3([-0.5, -0.5, -50.5], [0.5, 0.5, -49.5])
         assert classify_aabb8(box, canonical_frustum) is IN
 
     def test_straddles_near(self, canonical_frustum):
-        box = Aabb3([-0.5, -0.5, -1.5], [0.5, 0.5, -0.5])
+        box = Box3([-0.5, -0.5, -1.5], [0.5, 0.5, -0.5])
         assert classify_aabb8(box, canonical_frustum) is X
 
 
@@ -215,6 +214,6 @@ class TestCompareClassifications:
             half = rng.uniform(0.1, 30.0, 3)
             got = classify_bin(identity_jet(center), Box3(-half, half),
                                canonical_frustum, CullConfig(1.0))
-            want = classify_aabb8(Aabb3(center - half, center + half),
+            want = classify_aabb8(Box3(center - half, center + half),
                                   canonical_frustum)
             assert got is want

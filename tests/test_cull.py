@@ -19,7 +19,7 @@ from abincull import (
     plane_quadratic,
     sphere_jet,
 )
-from test_frustum import random_pose
+from abincull.cli import random_pose
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -97,7 +97,7 @@ class TestClassifyAgainstPlane:
 
     def test_mode_dominance(self, rng):
         # EXACT deciding a side forces NINE_POINT to decide the same side
-        from test_quadratic import random_box, random_quadratic
+        from abincull.cli import random_box, random_quadratic
         for _ in range(300):
             q = random_quadratic(rng)
             box = random_box(rng)

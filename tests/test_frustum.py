@@ -4,23 +4,7 @@ import numpy as np
 import pytest
 
 from abincull import CameraPose, Frustum, Plane, frustum_corners, frustum_from_camera
-
-
-def random_pose(rng):
-    while True:
-        look = rng.normal(size=3)
-        if np.linalg.norm(look) > 1e-6:
-            look /= np.linalg.norm(look)
-            break
-    while True:
-        up = rng.normal(size=3)
-        n = np.linalg.norm(up)
-        if n > 1e-6 and abs(up @ look) / n < 0.9:
-            break
-    near = rng.uniform(0.1, 10.0)
-    return CameraPose(rng.uniform(-100, 100, 3), look, up,
-                      rng.uniform(0.3, 2.5), rng.uniform(0.5, 2.5),
-                      near, near * rng.uniform(2.0, 100.0))
+from abincull.cli import random_pose
 
 
 class TestPlane:

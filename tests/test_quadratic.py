@@ -13,6 +13,7 @@ from abincull import (
     box_extrema_nine_point,
     stationary_point,
 )
+from abincull.cli import random_box, random_quadratic
 
 I3 = np.eye(3)
 Z3 = np.zeros((3, 3))
@@ -21,20 +22,6 @@ UNIT_BOX = Box3([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
 
 def quad(c0=0.0, b=(0.0, 0.0, 0.0), h=None):
     return ScalarQuadratic(c0, b, Z3 if h is None else h)
-
-
-def random_quadratic(rng, scale=3.0):
-    m = rng.normal(size=(3, 3))
-    return ScalarQuadratic(rng.normal() * 2.0, rng.normal(size=3) * scale,
-                           0.5 * (m + m.T))
-
-
-def random_box(rng, degenerate=False):
-    center = rng.uniform(-5.0, 5.0, size=3)
-    half = rng.uniform(0.05, 3.0, size=3)
-    if degenerate:
-        half[rng.integers(0, 3)] = 0.0
-    return Box3(center - half, center + half)
 
 
 class TestValueAndGradient:
@@ -68,6 +55,22 @@ class TestValueAndGradient:
         for _ in range(20):
             q = random_quadratic(rng)
             assert q.value([0.0, 0.0, 0.0]) == q.constant
+
+
+class TestBox3Corners:
+    def test_corner_order(self):
+        # row k takes hi on the axes whose bit is set, bits in
+        # itertools.product((0, 1), repeat=3) order
+        corners = Box3([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]).corners()
+        assert corners.tolist() == [
+            [1.0, 2.0, 3.0], [1.0, 2.0, 30.0], [1.0, 20.0, 3.0], [1.0, 20.0, 30.0],
+            [10.0, 2.0, 3.0], [10.0, 2.0, 30.0], [10.0, 20.0, 3.0], [10.0, 20.0, 30.0],
+        ]
+
+    def test_degenerate_axis(self):
+        corners = Box3([-1.0, 5.0, 0.0], [1.0, 5.0, 2.0]).corners()
+        assert corners.shape == (8, 3)
+        assert np.all(corners[:, 1] == 5.0)
 
 
 class TestStationaryPoint:

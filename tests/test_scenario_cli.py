@@ -1,12 +1,24 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from abincull import ScenarioError, orbit_cameras, parse_scenario
+from abincull import (
+    ScenarioError,
+    build_minmax_pyramid,
+    classify_tile,
+    frustum_from_camera,
+    orbit_cameras,
+    parse_scenario,
+    root_tiles,
+    sample_oracle,
+    sphere_point,
+    tile_bin,
+)
 from abincull.cli import main, run_compare, run_scenario
-from abincull.scenario import load_scenario
+from abincull.scenario import METHOD_NAMES, load_scenario
 
 MINIMAL = {
     "name": "minimal",
@@ -72,6 +84,28 @@ class TestParseScenario:
         doc = dict(MINIMAL, terrain={"heightfield": {"kind": "FLAT", "bogus": 1}})
         with pytest.raises(ScenarioError, match="bogus"):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "huge_int"])
+    @pytest.mark.parametrize("path, doc", [
+        (r"\$\.cameras\[0\]\.eye\[2\]",
+         {"cameras": [{"eye": [0, 0, "X"], "look_dir": [0, 0, -1],
+                       "fov_y": 1.0, "near": 1e3, "far": 1e7}]}),
+        (r"\$\.cameras\[0\]\.look_dir\[0\]",
+         {"cameras": [{"eye": [0, 0, 7e6], "look_dir": ["X", 0, -1],
+                       "fov_y": 1.0, "near": 1e3, "far": 1e7}]}),
+        (r"\$\.terrain\.start_level", {"terrain": {"start_level": "X"}}),
+        (r"\$\.cameras\[0\]\.orbit\.frames",
+         {"cameras": [{"orbit": {"frames": "X", "altitude_m": 5e5}}]}),
+        (r"\$\.cameras\[0\]\.orbit\.far_m",
+         {"cameras": [{"orbit": {"frames": 2, "altitude_m": 5e5, "far_m": "X"}}]}),
+        (r"\$\.oracle\.lattice\[1\]", {"oracle": {"lattice": [9, "X", 3]}}),
+    ], ids=["eye", "look_dir", "start_level", "orbit_frames", "orbit_far_m",
+         "oracle_lattice"])
+    def test_non_finite_number_names_path(self, path, doc, bad):
+        text = json.dumps(dict(MINIMAL, **doc)).replace('"X"', bad)
+        with pytest.raises(ScenarioError, match=path):
+            parse_scenario(text)
 
     def test_bad_terrain_levels(self):
         doc = dict(MINIMAL, terrain={"start_level": 5, "max_level": 3})
@@ -169,6 +203,37 @@ class TestCliCompare:
             assert report.traversal_ratio(frame) in (1.0, None)
         off_diagonal = [k for k in report.aggregate_pairs if k[0] != k[1]]
         assert not off_diagonal
+
+
+class TestCompareStartGrid:
+    def test_pair_table_matches_independent_classification(self, scenarios_dir):
+        # every method's start-grid verdicts and the oracle column must agree
+        # with a fresh classification of each start tile at pyramid heights
+        sc = load_scenario(scenarios_dir / "smoke.json")
+        params = sc.geodetic
+        map_fn = lambda pts: sphere_point(params, pts)
+        pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        start_tiles = [dataclasses.replace(t, height_range=pyramid.interval(t.level, t.i, t.j))
+                       for t in root_tiles(sc.terrain)]
+        for name in sc.methods:
+            report, _ = run_compare(dataclasses.replace(sc, methods=(name, sc.methods[0])))
+            method, mode = METHOD_NAMES[name]
+            cull = sc.terrain.cull
+            if mode is not None:
+                cull = dataclasses.replace(cull, extrema_mode=mode)
+            assert sorted(report.frame_states) == list(range(len(sc.cameras)))
+            for frame, pose in enumerate(sc.cameras):
+                frustum = frustum_from_camera(pose)
+                states = report.frame_states[frame]
+                assert set(states) == {t.tile_id for t in start_tiles}
+                for tile in start_tiles:
+                    got, _, got_oracle = states[tile.tile_id]
+                    want = classify_tile(tile, frustum, params, method, cull)
+                    assert got == want.value, (name, frame, tile.tile_id)
+                    center, offsets = tile_bin(tile, params)
+                    want = sample_oracle(map_fn, center, offsets, frustum,
+                                         sc.oracle_lattice)
+                    assert got_oracle == want.value, (name, frame, tile.tile_id)
 
 
 class TestCliSelftest:
