@@ -111,6 +111,15 @@ def _expect(obj, key, path, default=None, required=False):
     return obj[key]
 
 
+def _as_object(value, path, fields):
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    for key in value:
+        if key not in fields:
+            raise ScenarioError(f"{path}.{key}: unknown field")
+    return value
+
+
 def _as_number(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
@@ -123,24 +132,28 @@ def _as_number(value, path):
     return number
 
 
-def _as_pair(value, path):
-    if (not isinstance(value, (list, tuple)) or len(value) != 2):
-        raise ScenarioError(f"{path}: expected [lo, hi]")
-    return (_as_number(value[0], path + "[0]"), _as_number(value[1], path + "[1]"))
+def _as_int(value, path, minimum=None):
+    if not _as_number(value, path).is_integer():
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{path}: expected at least {minimum}, got {value!r}")
+    return int(value)
 
 
-def _as_vec(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"{path}: expected [x, y, z]")
-    return [_as_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+def _as_list(value, path, names, item=_as_number):
+    if not isinstance(value, (list, tuple)) or len(value) != len(names):
+        raise ScenarioError(f"{path}: expected [{', '.join(names)}]")
+    return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
 def _parse_pose(obj, path) -> CameraPose:
     try:
         return CameraPose(
-            eye=_as_vec(_expect(obj, "eye", path, required=True), f"{path}.eye"),
-            look_dir=_as_vec(_expect(obj, "look_dir", path, required=True), f"{path}.look_dir"),
-            up_hint=_as_vec(_expect(obj, "up_hint", path, default=[0, 1, 0]), f"{path}.up_hint"),
+            eye=_as_list(_expect(obj, "eye", path, required=True), f"{path}.eye", "xyz"),
+            look_dir=_as_list(_expect(obj, "look_dir", path, required=True),
+                              f"{path}.look_dir", "xyz"),
+            up_hint=_as_list(_expect(obj, "up_hint", path, default=[0, 1, 0]),
+                             f"{path}.up_hint", "xyz"),
             fov_y=_as_number(_expect(obj, "fov_y", path, required=True), f"{path}.fov_y"),
             aspect=_as_number(_expect(obj, "aspect", path, default=1.0), f"{path}.aspect"),
             near=_as_number(_expect(obj, "near", path, required=True), f"{path}.near"),
@@ -153,14 +166,11 @@ def _parse_pose(obj, path) -> CameraPose:
 
 
 def _parse_orbit(obj, path, radius_m) -> list[CameraPose]:
-    known = {"frames", "altitude_m", "plane", "fov_y", "aspect", "near_m",
-             "far_m", "phase"}
-    for key in obj:
-        if key not in known:
-            raise ScenarioError(f"{path}.{key}: unknown orbit field")
+    _as_object(obj, path, ("frames", "altitude_m", "plane", "fov_y", "aspect",
+                           "near_m", "far_m", "phase"))
     try:
         return orbit_cameras(
-            frames=int(_as_number(_expect(obj, "frames", path, required=True), f"{path}.frames")),
+            frames=_as_int(_expect(obj, "frames", path, required=True), f"{path}.frames"),
             altitude_m=_as_number(_expect(obj, "altitude_m", path, required=True), f"{path}.altitude_m"),
             radius_m=radius_m,
             plane=_expect(obj, "plane", path, default="equatorial"),
@@ -177,23 +187,19 @@ def _parse_orbit(obj, path, radius_m) -> list[CameraPose]:
 
 
 def _parse_heightfield(obj, path) -> dict:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
+    _as_object(obj, path, ("path", "kind", "rows", "cols", "value", "peak_height",
+                           "peak_lat", "peak_lon", "amplitude", "frequency"))
     if "path" in obj:
         return {"path": obj["path"]}
     kind = _expect(obj, "kind", path, required=True)
     if kind not in ("FLAT", "SINGLE_PEAK", "SINUSOIDAL"):
         raise ScenarioError(f"{path}.kind: unknown synthetic kind {kind!r}")
     spec = {"kind": kind}
-    numeric = ("rows", "cols", "value", "peak_height", "peak_lat", "peak_lon",
-               "amplitude", "frequency")
     for key in obj:
-        if key == "kind":
-            continue
-        if key not in numeric:
-            raise ScenarioError(f"{path}.{key}: unknown heightfield field")
-        val = _as_number(obj[key], f"{path}.{key}")
-        spec[key] = int(val) if key in ("rows", "cols") else val
+        if key in ("rows", "cols"):
+            spec[key] = _as_int(obj[key], f"{path}.{key}", minimum=2)
+        elif key != "kind":
+            spec[key] = _as_number(obj[key], f"{path}.{key}")
     return spec
 
 
@@ -207,9 +213,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("$: top level must be an object")
 
     name = _expect(doc, "name", "$", required=True)
-    seed = int(_as_number(_expect(doc, "seed", "$", default=0), "$.seed"))
+    seed = _as_int(_expect(doc, "seed", "$", default=0), "$.seed")
 
-    geo_obj = _expect(doc, "geodetic", "$", default={})
+    geo_obj = _as_object(_expect(doc, "geodetic", "$", default={}), "$.geodetic",
+                         ("radius_m",))
     radius = _as_number(_expect(geo_obj, "radius_m", "$.geodetic",
                                 default=EARTH_RADIUS_M), "$.geodetic.radius_m")
     try:
@@ -217,22 +224,22 @@ def parse_scenario(text: str) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"$.geodetic: {exc}") from None
 
-    terr = _expect(doc, "terrain", "$", default={})
-    start_level = int(_as_number(_expect(terr, "start_level", "$.terrain", default=4),
-                                 "$.terrain.start_level"))
-    max_level = int(_as_number(_expect(terr, "max_level", "$.terrain", default=start_level),
-                               "$.terrain.max_level"))
+    terr = _as_object(_expect(doc, "terrain", "$", default={}), "$.terrain",
+                      ("start_level", "max_level", "inflation", "lat_range",
+                       "lon_range", "heightfield"))
+    start_level = _as_int(_expect(terr, "start_level", "$.terrain", default=4),
+                          "$.terrain.start_level")
+    max_level = _as_int(_expect(terr, "max_level", "$.terrain", default=start_level),
+                        "$.terrain.max_level")
     inflation = _as_number(_expect(terr, "inflation", "$.terrain", default=1.1),
                            "$.terrain.inflation")
-    lat_range = _as_pair(_expect(terr, "lat_range", "$.terrain", default=list(FULL_LAT_RANGE)),
-                         "$.terrain.lat_range")
-    lon_range = _as_pair(_expect(terr, "lon_range", "$.terrain", default=list(FULL_LON_RANGE)),
-                         "$.terrain.lon_range")
-    altitude_range = _as_pair(_expect(terr, "altitude_range", "$.terrain",
-                                      default=[0.0, 9000.0]), "$.terrain.altitude_range")
+    lat_range = tuple(_as_list(_expect(terr, "lat_range", "$.terrain", default=FULL_LAT_RANGE),
+                               "$.terrain.lat_range", ("lo", "hi")))
+    lon_range = tuple(_as_list(_expect(terr, "lon_range", "$.terrain", default=FULL_LON_RANGE),
+                               "$.terrain.lon_range", ("lo", "hi")))
     try:
         terrain = TerrainConfig(start_level, max_level, lat_range, lon_range,
-                                altitude_range, CullConfig(inflation=inflation))
+                                CullConfig(inflation=inflation))
     except ValueError as exc:
         raise ScenarioError(f"$.terrain: {exc}") from None
 
@@ -261,13 +268,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"$.methods[{k}]: unknown method {m!r}; "
                                 f"expected one of {sorted(METHOD_NAMES)}")
 
-    oracle = _expect(doc, "oracle", "$", default={})
-    oracle_enabled = bool(_expect(oracle, "enabled", "$.oracle", default=False))
-    lattice_raw = _expect(oracle, "lattice", "$.oracle", default=list(DEFAULT_ORACLE_LATTICE))
-    if not isinstance(lattice_raw, list) or len(lattice_raw) != 3:
-        raise ScenarioError("$.oracle.lattice: expected [n_lat, n_lon, n_height]")
-    lattice = tuple(int(_as_number(v, f"$.oracle.lattice[{k}]"))
-                    for k, v in enumerate(lattice_raw))
+    oracle = _as_object(_expect(doc, "oracle", "$", default={}), "$.oracle",
+                        ("enabled", "lattice"))
+    oracle_enabled = _expect(oracle, "enabled", "$.oracle", default=False)
+    if not isinstance(oracle_enabled, bool):
+        raise ScenarioError(f"$.oracle.enabled: expected true or false, got {oracle_enabled!r}")
+    lattice_raw = _expect(oracle, "lattice", "$.oracle", default=DEFAULT_ORACLE_LATTICE)
+    lattice = tuple(_as_list(lattice_raw, "$.oracle.lattice", ("n_lat", "n_lon", "n_height"),
+                             lambda v, path: _as_int(v, path, minimum=2)))
 
     return Scenario(name=name, seed=seed, geodetic=geodetic, terrain=terrain,
                     heightfield_spec=hf_spec, cameras=tuple(cameras),

@@ -149,7 +149,6 @@ class TerrainConfig:
     max_level: int = 4
     lat_range: tuple[float, float] = FULL_LAT_RANGE
     lon_range: tuple[float, float] = FULL_LON_RANGE
-    altitude_range: tuple[float, float] = (0.0, 9000.0)
     cull: CullConfig = field(default_factory=CullConfig)
 
     def __post_init__(self):
@@ -157,8 +156,6 @@ class TerrainConfig:
             raise ValueError(
                 f"need 0 <= start_level <= max_level <= 24, got "
                 f"{self.start_level}..{self.max_level}")
-        if self.altitude_range[0] > self.altitude_range[1]:
-            raise ValueError("altitude_range inverted")
 
 
 @dataclass
@@ -178,8 +175,8 @@ def _grid_shape(level: int) -> tuple[int, int]:
 
 
 def _edges(lo: float, hi: float, count: int) -> np.ndarray:
-    # k / count is exact for power-of-two counts, so edges are reproducible
-    # from indices alone at every level
+    # _interval's formula (k / count is exact for power-of-two counts), so the
+    # pyramid bins samples against exactly the bounds of tile_from_indices
     k = np.arange(count + 1, dtype=float)
     return lo + (k / count) * (hi - lo)
 
@@ -204,16 +201,15 @@ def tile_from_indices(level: int, i: int, j: int,
 
 
 def root_tiles(cfg: TerrainConfig) -> list[GeoTile]:
-    """The full start-level grid; height intervals default to the configured
-    altitude range until a pyramid refines them."""
+    """The full start-level grid in traversal order, with heights [0, 0];
+    ``MinMaxPyramid.tile`` gives the same tiles with terrain heights."""
     n_lat, n_lon = _grid_shape(cfg.start_level)
-    return [tile_from_indices(cfg.start_level, i, j, cfg.lat_range,
-                              cfg.lon_range, cfg.altitude_range)
+    return [tile_from_indices(cfg.start_level, i, j, cfg.lat_range, cfg.lon_range)
             for i in range(n_lat) for j in range(n_lon)]
 
 
 class MinMaxPyramid:
-    """Per-level, per-tile terrain height intervals.
+    """Per-level, per-tile terrain height intervals over fixed lat/lon ranges.
 
     Levels 0..max_level are stored as (h_min, h_max) array pairs of the
     level's grid shape.  Finest-level intervals come from the heightfield
@@ -232,6 +228,11 @@ class MinMaxPyramid:
     def interval(self, level: int, i: int, j: int) -> tuple[float, float]:
         hmin, hmax = self.levels[level]
         return float(hmin[i, j]), float(hmax[i, j])
+
+    def tile(self, level: int, i: int, j: int) -> GeoTile:
+        """Tile (level, i, j): bounds from its indices, heights from here."""
+        return tile_from_indices(level, i, j, self.lat_range, self.lon_range,
+                                 self.interval(level, i, j))
 
 
 def _bin_indices(values: np.ndarray, edges: np.ndarray):
@@ -305,22 +306,12 @@ def build_minmax_pyramid(hf: HeightField, cfg: TerrainConfig) -> MinMaxPyramid:
 
 
 def subdivide(tile: GeoTile, pyramid: MinMaxPyramid) -> list[GeoTile]:
-    """Split a tile into its four children, heights from the pyramid."""
+    """The four children of a tile, built by ``pyramid.tile``."""
     if tile.level >= pyramid.max_level:
         raise ValueError(f"tile {tile.tile_id} is already at max level "
                          f"{pyramid.max_level}")
-    lat_lo, lat_hi = tile.lat_range
-    lon_lo, lon_hi = tile.lon_range
-    lat_mid = 0.5 * (lat_lo + lat_hi)
-    lon_mid = 0.5 * (lon_lo + lon_hi)
-    level = tile.level + 1
-    children = []
-    for a, (clo, chi) in enumerate(((lat_lo, lat_mid), (lat_mid, lat_hi))):
-        for b, (dlo, dhi) in enumerate(((lon_lo, lon_mid), (lon_mid, lon_hi))):
-            i, j = 2 * tile.i + a, 2 * tile.j + b
-            children.append(GeoTile(level, i, j, (clo, chi), (dlo, dhi),
-                                    pyramid.interval(level, i, j)))
-    return children
+    return [pyramid.tile(tile.level + 1, 2 * tile.i + a, 2 * tile.j + b)
+            for a in (0, 1) for b in (0, 1)]
 
 
 def tile_bin(tile: GeoTile, params: GeodeticParams) -> tuple[np.ndarray, Box3]:
@@ -494,13 +485,6 @@ def write_heightfield(hf: HeightField, path) -> None:
         fh.write(np.ascontiguousarray(hf.samples, dtype="<f8").tobytes())
 
 
-def _tile_with_pyramid_heights(tile: GeoTile, pyramid: MinMaxPyramid) -> GeoTile:
-    h = pyramid.interval(tile.level, tile.i, tile.j)
-    if h == tile.height_range:
-        return tile
-    return GeoTile(tile.level, tile.i, tile.j, tile.lat_range, tile.lon_range, h)
-
-
 def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
                   method: Method, cull: CullConfig) -> Classification:
     """Classify one tile with the chosen method."""
@@ -535,12 +519,15 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     """
     if pyramid.max_level < cfg.max_level:
         raise ValueError("pyramid is shallower than cfg.max_level")
+    if (pyramid.lat_range, pyramid.lon_range) != (cfg.lat_range, cfg.lon_range):
+        raise ValueError("pyramid was built over other lat/lon ranges than cfg")
     t0 = time.perf_counter_ns()
     stats = TraversalStats()
     visible: list[GeoTile] = []
 
-    stack = deque(_tile_with_pyramid_heights(t, pyramid)
-                  for t in reversed(root_tiles(cfg)))
+    n_lat, n_lon = _grid_shape(cfg.start_level)
+    stack = deque(pyramid.tile(cfg.start_level, i, j)
+                  for i in reversed(range(n_lat)) for j in reversed(range(n_lon)))
     while stack:
         tile = stack.pop()
         cls = classify_tile(tile, frustum, params, method, cfg.cull)

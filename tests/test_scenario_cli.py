@@ -107,6 +107,39 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=path):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("path, doc", [
+        (r"\$\.oracle\.lattice\[0\]", {"oracle": {"lattice": [1, 9, 3]}}),
+        (r"\$\.oracle\.lattice\[1\]", {"oracle": {"lattice": [9, 1.7, 3]}}),
+        (r"\$\.seed", {"seed": 0.5}),
+        (r"\$\.terrain\.start_level", {"terrain": {"start_level": 2.7}}),
+        (r"\$\.terrain\.max_level", {"terrain": {"max_level": 4.5}}),
+        (r"\$\.cameras\[0\]\.orbit\.frames",
+         {"cameras": [{"orbit": {"frames": 2.9, "altitude_m": 5e5}}]}),
+        (r"\$\.terrain\.heightfield\.rows",
+         {"terrain": {"heightfield": {"kind": "FLAT", "rows": 16.5}}}),
+        (r"\$\.terrain\.heightfield\.cols",
+         {"terrain": {"heightfield": {"kind": "FLAT", "cols": 1}}}),
+        (r"\$\.oracle\.enabled", {"oracle": {"enabled": "no"}}),
+        (r"\$\.oracle\.enabled", {"oracle": {"enabled": 1}}),
+        (r"\$\.terrain\.max_levl", {"terrain": {"max_levl": 6}}),
+        (r"\$\.terrain\.altitude_range", {"terrain": {"altitude_range": [0, 9000]}}),
+        (r"\$\.oracle: expected an object", {"oracle": True}),
+        (r"\$\.geodetic: expected an object", {"geodetic": 5}),
+    ], ids=["lattice_below_2", "lattice_fraction", "seed", "start_level",
+         "max_level", "orbit_frames", "heightfield_rows", "heightfield_cols_below_2",
+         "enabled_string", "enabled_number", "terrain_typo", "terrain_altitude_range",
+         "oracle_not_object", "geodetic_not_object"])
+    def test_rejects_bad_field_with_path(self, path, doc):
+        with pytest.raises(ScenarioError, match=path):
+            parse_scenario(json.dumps(dict(MINIMAL, **doc)))
+
+    def test_integral_floats_accepted(self):
+        doc = dict(MINIMAL, seed=3.0, terrain={"start_level": 2.0},
+                   oracle={"lattice": [9.0, 9, 3]})
+        sc = parse_scenario(json.dumps(doc))
+        assert (sc.seed, sc.terrain.start_level, sc.oracle_lattice) == (3, 2, (9, 9, 3))
+        assert type(sc.terrain.start_level) is int
+
     def test_bad_terrain_levels(self):
         doc = dict(MINIMAL, terrain={"start_level": 5, "max_level": 3})
         with pytest.raises(ScenarioError, match="terrain"):

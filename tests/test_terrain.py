@@ -26,7 +26,8 @@ from abincull import (
     traverse,
     write_heightfield,
 )
-from abincull.terrain import _edges, _grid_shape, _tile_with_pyramid_heights
+from abincull.scenario import load_scenario
+from abincull.terrain import _edges, _grid_shape
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -69,10 +70,6 @@ class TestRootTiles:
             assert t.lon_range == (lon_edges[t.j], lon_edges[t.j + 1])
             seen.add((t.i, t.j))
         assert len(seen) == n_lat * n_lon
-
-    def test_height_defaults_to_altitude_range(self):
-        cfg = TerrainConfig(start_level=2, max_level=2, altitude_range=(0.0, 9000.0))
-        assert root_tiles(cfg)[0].height_range == (0.0, 9000.0)
 
 
 class TestGeoTile:
@@ -125,7 +122,7 @@ class TestSubdivide:
                                amplitude=4000.0, frequency=6.0)
         pyramid = build_minmax_pyramid(hf, cfg)
         for tile in root_tiles(cfg):
-            tile = _tile_with_pyramid_heights(tile, pyramid)
+            tile = pyramid.tile(tile.level, tile.i, tile.j)
             for kid in subdivide(tile, pyramid):
                 assert kid.height_range[0] >= tile.height_range[0] - 1e-9
                 assert kid.height_range[1] <= tile.height_range[1] + 1e-9
@@ -407,7 +404,7 @@ class TestTraverse:
             emitted |= leaf_cells(t)
 
         expanded = set()
-        stack = [_tile_with_pyramid_heights(t, pyramid) for t in root_tiles(cfg)]
+        stack = [pyramid.tile(t.level, t.i, t.j) for t in root_tiles(cfg)]
         while stack:
             tile = stack.pop()
             cls = classify_tile(tile, frustum, PARAMS, Method.ANALYTIC_BIN, cfg.cull)
@@ -436,6 +433,29 @@ class TestTraverse:
         with pytest.raises(ValueError):
             traverse(self.whole_globe_frustum(), cfg, pyramid, PARAMS,
                      Method.ANALYTIC_BIN)
+
+    def test_pyramid_over_other_ranges_rejected(self):
+        cfg = TerrainConfig(start_level=2, max_level=3)
+        pyramid = flat_pyramid(TerrainConfig(start_level=2, max_level=3,
+                                             lat_range=(-1.5, 1.5)))
+        with pytest.raises(ValueError, match="ranges"):
+            traverse(self.whole_globe_frustum(), cfg, pyramid, PARAMS,
+                     Method.ANALYTIC_BIN)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_every_tile_built_from_its_indices(self, method, scenarios_dir):
+        # on the offset ranges of orbit_sinusoidal, a parent's midpoint is an
+        # ulp off the index formula on many child edges; traversal must hand
+        # out exactly the tile its (level, i, j) names
+        sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
+        pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        seen = []
+        for frame in (0, 97):
+            traverse(frustum_from_camera(sc.cameras[frame]), sc.terrain, pyramid,
+                     sc.geodetic, method, sink=lambda t, c: seen.append(t))
+        assert max(t.level for t in seen) == sc.terrain.max_level
+        for t in seen:
+            assert t == pyramid.tile(t.level, t.i, t.j), t.tile_id
 
 
 class TestExpandedInsideEquivalence:
