@@ -246,16 +246,21 @@ def cmd_compare(args) -> int:
 def _load_with_overrides(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     terrain = scenario.terrain
-    if getattr(args, "inflation", None) is not None:
-        terrain = dataclasses.replace(
-            terrain, cull=dataclasses.replace(terrain.cull, inflation=args.inflation))
-    if getattr(args, "start_level", None) is not None:
-        terrain = dataclasses.replace(terrain, start_level=args.start_level)
-    if getattr(args, "max_level", None) is not None:
-        terrain = dataclasses.replace(terrain, max_level=args.max_level)
-    if terrain is not scenario.terrain:
-        scenario = dataclasses.replace(scenario, terrain=terrain)
-    return scenario
+    if args.inflation is not None:
+        try:
+            terrain = dataclasses.replace(
+                terrain, cull=dataclasses.replace(terrain.cull, inflation=args.inflation))
+        except ValueError as exc:
+            raise ScenarioError(f"--inflation: {exc}") from None
+    # both levels in one replace, so raising one above the other's old value works
+    levels = {key: getattr(args, key) for key in ("start_level", "max_level")
+              if getattr(args, key) is not None}
+    try:
+        terrain = dataclasses.replace(terrain, **levels)
+    except ValueError as exc:
+        options = ", ".join("--" + key.replace("_", "-") for key in levels)
+        raise ScenarioError(f"{options}: {exc}") from None
+    return dataclasses.replace(scenario, terrain=terrain)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .frustum import Frustum, Plane
 from .mapping import MapJet
 from .quadratic import (
@@ -63,6 +61,10 @@ class ExtremaMode(enum.Enum):
     EXACT = "EXACT"
 
 
+_EXTREMA = {ExtremaMode.EXACT: _extrema_exact,
+            ExtremaMode.NINE_POINT: _extrema_nine_point}
+
+
 @dataclass(frozen=True)
 class CullConfig:
     """Inflation factor and extrema mode for bin classification."""
@@ -84,44 +86,56 @@ def inflate_bin(bin_box: Box3, factor: float) -> Box3:
     return Box3(c - hw, c + hw)
 
 
-def _plane_coeffs(jet: MapJet, normal: np.ndarray):
-    """Quadratic coefficients of the plane-aligned displacement.
+def _plane_terms(value, jac, h_x, h_y, h_z, planes):
+    """Yield (b0, b1, b2, h00, h01, h02, h11, h12, h22, d) for each plane.
 
-    The displacement of the image away from the mapped center, projected on
-    the plane normal, is  s(x) = -(J^T n) . x - 0.5 x^T (sum_i n_i H_i) x.
-    Returns (b, H) for that quadratic; the constant term is zero.
+    The image's displacement from the mapped center along the normal n is
+    s(x) = b.x + 0.5 x^T H x with b = -(J^T n), H = -(sum_i n_i H_i), and
+    d = n . (value - p).  Jet rows and (n0, n1, n2, p0, p1, p2) plane tuples
+    are plain floats; every analytic plane test gets its terms here.
     """
-    b = -(jet.jacobian.T @ normal)
-    h = -np.tensordot(normal, jet.hessians, axes=(0, 0))
-    return b, h
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
+    v0, v1, v2 = value
+    (x00, x01, x02), (_, x11, x12), (_, _, x22) = h_x
+    (y00, y01, y02), (_, y11, y12), (_, _, y22) = h_y
+    (z00, z01, z02), (_, z11, z12), (_, _, z22) = h_z
+    for n0, n1, n2, p0, p1, p2 in planes:
+        yield (-(j00 * n0 + j10 * n1 + j20 * n2),
+               -(j01 * n0 + j11 * n1 + j21 * n2),
+               -(j02 * n0 + j12 * n1 + j22 * n2),
+               -(n0 * x00 + n1 * y00 + n2 * z00),
+               -(n0 * x01 + n1 * y01 + n2 * z01),
+               -(n0 * x02 + n1 * y02 + n2 * z02),
+               -(n0 * x11 + n1 * y11 + n2 * z11),
+               -(n0 * x12 + n1 * y12 + n2 * z12),
+               -(n0 * x22 + n1 * y22 + n2 * z22),
+               n0 * (v0 - p0) + n1 * (v1 - p1) + n2 * (v2 - p2))
 
 
 def plane_quadratic(jet: MapJet, plane: Plane):
     """Per-plane quadratic and the signed distance of the mapped bin center.
 
     Returns (q, d) with q(0) = 0; the approximated signed distance of the
-    image of offset x is d - q(x).
+    image of offset x is d - q(x).  The coefficients are the traversal's own.
     """
-    b, h = _plane_coeffs(jet, plane.normal)
-    d = plane.signed_distance(jet.value)
-    return ScalarQuadratic(0.0, b, h), d
-
-
-def _plane_state(min_s: float, max_s: float, d: float) -> PlaneState:
-    if max_s < d:
-        return PlaneState.FULLY_OUTSIDE
-    if d < min_s:
-        return PlaneState.FULLY_INSIDE
-    return PlaneState.STRADDLES
+    (b0, b1, b2, h00, h01, h02, h11, h12, h22, d), = _plane_terms(
+        jet.value.tolist(), jet.jacobian.tolist(), *jet.hessians.tolist(),
+        [(*plane.normal.tolist(), *plane.point.tolist())])
+    q = ScalarQuadratic(0.0, [b0, b1, b2],
+                        [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
+    return q, d
 
 
 def classify_against_plane(q: ScalarQuadratic, d: float, bin_box: Box3,
                            mode: ExtremaMode) -> PlaneState:
     """Three-way test of an (already inflated) bin against one plane."""
-    lo, hi = bin_box.lo, bin_box.hi
-    extrema = _extrema_exact if mode is ExtremaMode.EXACT else _extrema_nine_point
-    mn, mx, _, _ = extrema(*_unpack(q), lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
-    return _plane_state(mn, mx, float(d))
+    mn, mx, _, _ = _EXTREMA[mode](*_unpack(q), *bin_box.lo.tolist(),
+                                  *bin_box.hi.tolist())
+    if mx < d:
+        return PlaneState.FULLY_OUTSIDE
+    if d < mn:
+        return PlaneState.FULLY_INSIDE
+    return PlaneState.STRADDLES
 
 
 def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
@@ -132,22 +146,10 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
     value / jac / h_* are plain float rows as produced by the jet builders;
     the box bounds are floats.  Early-exits on the first separating plane.
     """
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
-    v0, v1, v2 = value
-    extrema = _extrema_exact if mode is ExtremaMode.EXACT else _extrema_nine_point
-
+    extrema = _EXTREMA[mode]
     inside_count = 0
-    for n0, n1, n2, p0, p1, p2 in frustum.plane_scalars:
-        b0 = -(j00 * n0 + j10 * n1 + j20 * n2)
-        b1 = -(j01 * n0 + j11 * n1 + j21 * n2)
-        b2 = -(j02 * n0 + j12 * n1 + j22 * n2)
-        h00 = -(n0 * h_x[0][0] + n1 * h_y[0][0] + n2 * h_z[0][0])
-        h01 = -(n0 * h_x[0][1] + n1 * h_y[0][1] + n2 * h_z[0][1])
-        h02 = -(n0 * h_x[0][2] + n1 * h_y[0][2] + n2 * h_z[0][2])
-        h11 = -(n0 * h_x[1][1] + n1 * h_y[1][1] + n2 * h_z[1][1])
-        h12 = -(n0 * h_x[1][2] + n1 * h_y[1][2] + n2 * h_z[1][2])
-        h22 = -(n0 * h_x[2][2] + n1 * h_y[2][2] + n2 * h_z[2][2])
-        d = n0 * (v0 - p0) + n1 * (v1 - p1) + n2 * (v2 - p2)
+    for b0, b1, b2, h00, h01, h02, h11, h12, h22, d in _plane_terms(
+            value, jac, h_x, h_y, h_z, frustum.plane_scalars):
         mn, mx, _, _ = extrema(0.0, b0, b1, b2,
                                h00, h01, h02, h11, h12, h22,
                                lo0, lo1, lo2, hi0, hi1, hi2)
@@ -170,9 +172,6 @@ def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,
     bin immediately, and only a bin fully inside all six planes is INSIDE.
     """
     inflated = inflate_bin(bin_offsets, cfg.inflation)
-    lo, hi = inflated.lo.tolist(), inflated.hi.tolist()
     return _classify_bin_scalars(
-        jet.value.tolist(), jet.jacobian.tolist(),
-        jet.hessians[0].tolist(), jet.hessians[1].tolist(), jet.hessians[2].tolist(),
-        lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
-        frustum, cfg.extrema_mode)
+        jet.value.tolist(), jet.jacobian.tolist(), *jet.hessians.tolist(),
+        *inflated.lo.tolist(), *inflated.hi.tolist(), frustum, cfg.extrema_mode)

@@ -153,9 +153,8 @@ def stationary_point(q: ScalarQuadratic, tol: float = SINGULAR_TOL):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h = q.hessian
-    sol = _solve3(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2],
-                  -q.linear[0], -q.linear[1], -q.linear[2], tol)
+    _, b0, b1, b2, h00, h01, h02, h11, h12, h22 = _unpack(q)
+    sol = _solve3(h00, h01, h02, h11, h12, h22, -b0, -b1, -b2, tol)
     if sol is None:
         return None
     return np.array(sol)
@@ -168,11 +167,9 @@ def _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z):
 
 
 def _unpack(q: ScalarQuadratic):
-    b = q.linear
-    h = q.hessian
-    return (q.constant, float(b[0]), float(b[1]), float(b[2]),
-            float(h[0, 0]), float(h[0, 1]), float(h[0, 2]),
-            float(h[1, 1]), float(h[1, 2]), float(h[2, 2]))
+    """(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22) as plain floats."""
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = q.hessian.tolist()
+    return (q.constant, *q.linear.tolist(), h00, h01, h02, h11, h12, h22)
 
 
 def _extrema_nine_point(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
@@ -338,17 +335,13 @@ def box_extrema_nine_point(q: ScalarQuadratic, box: Box3) -> Extrema:
     is always bracketed by the exact one; facet and edge extrema of
     indefinite quadratics can be missed.
     """
-    res = _extrema_nine_point(*_unpack(q),
-                              box.lo[0], box.lo[1], box.lo[2],
-                              box.hi[0], box.hi[1], box.hi[2])
+    res = _extrema_nine_point(*_unpack(q), *box.lo.tolist(), *box.hi.tolist())
     return Extrema(res[0], res[1], np.array(res[2]), np.array(res[3]))
 
 
 def box_extrema_exact(q: ScalarQuadratic, box: Box3) -> Extrema:
     """Exact extrema over the box by stationary-point enumeration per face."""
-    res = _extrema_exact(*_unpack(q),
-                         box.lo[0], box.lo[1], box.lo[2],
-                         box.hi[0], box.hi[1], box.hi[2])
+    res = _extrema_exact(*_unpack(q), *box.lo.tolist(), *box.hi.tolist())
     return Extrema(res[0], res[1], np.array(res[2]), np.array(res[3]))
 
 

@@ -147,6 +147,7 @@ def _as_list(value, path, names, item=_as_number):
 
 
 def _parse_pose(obj, path) -> CameraPose:
+    _as_object(obj, path, ("eye", "look_dir", "up_hint", "fov_y", "aspect", "near", "far"))
     try:
         return CameraPose(
             eye=_as_list(_expect(obj, "eye", path, required=True), f"{path}.eye", "xyz"),
@@ -209,8 +210,8 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"$: malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError("$: top level must be an object")
+    _as_object(doc, "$", ("name", "seed", "geodetic", "terrain", "cameras", "methods",
+                          "oracle"))
 
     name = _expect(doc, "name", "$", required=True)
     seed = _as_int(_expect(doc, "seed", "$", default=0), "$.seed")
@@ -253,9 +254,8 @@ def parse_scenario(text: str) -> Scenario:
     cameras: list[CameraPose] = []
     for k, obj in enumerate(cam_list):
         path = f"$.cameras[{k}]"
-        if not isinstance(obj, dict):
-            raise ScenarioError(f"{path}: expected an object")
-        if "orbit" in obj:
+        if isinstance(obj, dict) and "orbit" in obj:
+            _as_object(obj, path, ("orbit",))
             cameras.extend(_parse_orbit(obj["orbit"], path + ".orbit", radius))
         else:
             cameras.append(_parse_pose(obj, path))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from abincull import (
     plane_quadratic,
     sphere_jet,
 )
-from abincull.cli import random_pose
+from abincull.cli import _orbit_pose, random_pose
+from abincull.mapping import _sphere_jet_rows
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -78,6 +81,63 @@ class TestPlaneQuadratic:
             n /= np.linalg.norm(n)
             q, _ = plane_quadratic(jet, Plane(n, rng.uniform(-R, R, 3)))
             assert q.value([0.0, 0.0, 0.0]) == 0.0
+
+
+def _unrolled_terms(value, jac, h_x, h_y, h_z, plane_scalars):
+    """The traversal's per-plane arithmetic, written out: (b, H, d)."""
+    n0, n1, n2, p0, p1, p2 = plane_scalars
+    b = [-(jac[0][k] * n0 + jac[1][k] * n1 + jac[2][k] * n2) for k in range(3)]
+    h = [[-(n0 * h_x[r][c] + n1 * h_y[r][c] + n2 * h_z[r][c]) for c in range(3)]
+         for r in range(3)]
+    d = n0 * (value[0] - p0) + n1 * (value[1] - p1) + n2 * (value[2] - p2)
+    return b, h, d
+
+
+def _tiles_under_orbit_poses(rng, count):
+    """(frustum, center, offsets) with the bin near the camera's nadir."""
+    for _ in range(count):
+        pose = _orbit_pose(rng, PARAMS)
+        x, y, z = pose.eye / np.linalg.norm(pose.eye)
+        center = np.array([R + rng.uniform(0, 9000),
+                           np.clip(math.asin(y) + rng.uniform(-0.4, 0.4), -1.5, 1.5),
+                           math.atan2(x, z) + rng.uniform(-0.4, 0.4)])
+        half = np.array([rng.uniform(0, 4500),
+                         rng.uniform(0.005, 0.1),
+                         rng.uniform(0.005, 0.1)])
+        yield frustum_from_camera(pose), center, Box3(-half, half)
+
+
+class TestOneArithmetic:
+    """The single-plane API runs the traversal's arithmetic, bit for bit."""
+
+    def test_plane_quadratic_equals_unrolled(self, rng):
+        for frustum, center, _ in _tiles_under_orbit_poses(rng, 300):
+            rows = _sphere_jet_rows(*center.tolist())
+            jet = sphere_jet(PARAMS, center)
+            for plane, scalars in zip(frustum.planes, frustum.plane_scalars):
+                q, d = plane_quadratic(jet, plane)
+                b, h, want_d = _unrolled_terms(*rows, scalars)
+                assert q.linear.tolist() == b
+                assert q.hessian.tolist() == h
+                assert d == want_d
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_planes_compose_to_classify_bin(self, rng, mode):
+        seen = set()
+        for frustum, center, offsets in _tiles_under_orbit_poses(rng, 300):
+            jet = sphere_jet(PARAMS, center)
+            inflated = inflate_bin(offsets, 1.1)
+            states = [classify_against_plane(*plane_quadratic(jet, plane), inflated, mode)
+                      for plane in frustum.planes]
+            if PlaneState.FULLY_OUTSIDE in states:
+                composed = Classification.OUTSIDE
+            elif all(s is PlaneState.FULLY_INSIDE for s in states):
+                composed = Classification.INSIDE
+            else:
+                composed = Classification.INTERSECT
+            assert classify_bin(jet, offsets, frustum, CullConfig(1.1, mode)) is composed
+            seen.add(composed)
+        assert seen == set(Classification)
 
 
 class TestClassifyAgainstPlane:

@@ -125,10 +125,17 @@ class TestParseScenario:
         (r"\$\.terrain\.altitude_range", {"terrain": {"altitude_range": [0, 9000]}}),
         (r"\$\.oracle: expected an object", {"oracle": True}),
         (r"\$\.geodetic: expected an object", {"geodetic": 5}),
+        (r"\$\.cameras\[0\]\.up: unknown field",
+         {"cameras": [dict(MINIMAL["cameras"][0], up=[1, 0, 0])]}),
+        (r"\$\.cameras\[0\]\.eye: unknown field",
+         {"cameras": [{"orbit": {"frames": 2, "altitude_m": 5e5}, "eye": [0, 0, 7e6]}]}),
+        (r"\$\.cameras\[0\]: expected an object", {"cameras": [5]}),
+        (r"\$\.orcale: unknown field", {"orcale": {"enabled": True}}),
     ], ids=["lattice_below_2", "lattice_fraction", "seed", "start_level",
          "max_level", "orbit_frames", "heightfield_rows", "heightfield_cols_below_2",
          "enabled_string", "enabled_number", "terrain_typo", "terrain_altitude_range",
-         "oracle_not_object", "geodetic_not_object"])
+         "oracle_not_object", "geodetic_not_object", "pose_typo", "orbit_entry_extra",
+         "camera_not_object", "top_level_typo"])
     def test_rejects_bad_field_with_path(self, path, doc):
         with pytest.raises(ScenarioError, match=path):
             parse_scenario(json.dumps(dict(MINIMAL, **doc)))
@@ -193,6 +200,17 @@ class TestCliRun:
     def test_missing_scenario_file_fails(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "-o", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("option, value", [
+        ("--start-level", "5"), ("--inflation", "3.0"), ("--max-level", "25")])
+    def test_out_of_range_override_exits_2(self, tmp_path, scenarios_dir, capsys,
+                                           command, option, value):
+        # smoke.json has max_level 3; each override breaks a config invariant
+        rc = main([command, str(scenarios_dir / "smoke.json"), "-o", str(tmp_path),
+                   option, value])
+        assert rc == 2
+        assert option in capsys.readouterr().err
+
     def test_overrides_apply(self, tmp_path, scenarios_dir):
         sc = load_scenario(scenarios_dir / "smoke.json")
         out1 = tmp_path / "deep"
@@ -201,6 +219,16 @@ class TestCliRun:
         rows = (out1 / "stats.csv").read_text().splitlines()[1:]
         max_depth = max(int(r.split(",")[7]) for r in rows)
         assert max_depth == 4 > sc.terrain.max_level
+
+    def test_level_overrides_apply_together(self, tmp_path, scenarios_dir):
+        # a start level above the scenario's max_level is fine when
+        # --max-level raises it too
+        out = tmp_path / "both"
+        rc = main(["run", str(scenarios_dir / "smoke.json"), "-o", str(out),
+                   "--start-level", "4", "--max-level", "4"])
+        assert rc == 0
+        rows = (out / "stats.csv").read_text().splitlines()[1:]
+        assert {int(r.split(",")[7]) for r in rows} == {4}
 
 
 class TestCliCompare:

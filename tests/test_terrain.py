@@ -7,6 +7,8 @@ import pytest
 from abincull import (
     CameraPose,
     Classification,
+    CullConfig,
+    ExtremaMode,
     GeodeticParams,
     GeoTile,
     HeightField,
@@ -14,6 +16,7 @@ from abincull import (
     Method,
     TerrainConfig,
     build_minmax_pyramid,
+    classify_tile,
     frustum_from_camera,
     load_heightfield,
     root_tiles,
@@ -480,3 +483,56 @@ class TestExpandedInsideEquivalence:
                 assert cls is not Classification.OUTSIDE
                 checked += 1
         assert checked > 0 or not inside_parents
+
+
+class TestPoleAndSeamTiles:
+    """Tiles touching a pole (cos lat = 0) or the +-pi seam, seen from close by."""
+
+    def edge_tile_and_pose(self, rng, edge):
+        level = int(rng.integers(2, 8))
+        n_lat, n_lon = _grid_shape(level)
+        width = PI / n_lat
+        h_lo = rng.uniform(-500.0, 3000.0)
+        h_range = (h_lo, h_lo + rng.uniform(0.0, 3000.0))
+        if edge == "pole":
+            i, j = (0, n_lat - 1)[rng.integers(2)], int(rng.integers(n_lon))
+            tile = tile_from_indices(level, i, j, height_range=h_range)
+            lat = tile.lat_range[0] if i == 0 else tile.lat_range[1]
+            lon = rng.uniform(-PI, PI)
+        else:
+            i, j = int(rng.integers(n_lat)), (0, n_lon - 1)[rng.integers(2)]
+            tile = tile_from_indices(level, i, j, height_range=h_range)
+            lat = rng.uniform(*tile.lat_range)
+            lon = (-PI, PI)[rng.integers(2)]
+        # eye above a point within a tile width of that edge point, looking
+        # at a jittered point near it
+        alt = R * width * rng.uniform(0.05, 1.5)
+        jitter = lambda: rng.uniform(-1.0, 1.0) * width
+        eye = sphere_point(PARAMS, [R + h_range[1] + alt,
+                                    np.clip(lat + jitter(), -PI / 2, PI / 2),
+                                    lon + jitter()])
+        target = sphere_point(PARAMS, [R + rng.uniform(*h_range),
+                                       lat + jitter(), lon + jitter()])
+        pose = CameraPose(eye, target - eye, rng.normal(size=3),
+                          rng.uniform(0.2, 1.2), rng.uniform(0.7, 1.6),
+                          alt / 100.0, 3.0 * alt)
+        return tile, frustum_from_camera(pose)
+
+    @pytest.mark.parametrize("edge", ["pole", "seam"])
+    def test_no_outside_verdict_over_a_contained_sample(self, rng, edge):
+        map_fn = lambda pts: sphere_point(PARAMS, pts)
+        prunes = {mode: 0 for mode in ExtremaMode}
+        for _ in range(400):
+            tile, frustum = self.edge_tile_and_pose(rng, edge)
+            oracle = None
+            for mode in ExtremaMode:
+                cls = classify_tile(tile, frustum, PARAMS, Method.ANALYTIC_BIN,
+                                    CullConfig(1.1, mode))
+                if cls is not Classification.OUTSIDE:
+                    continue
+                prunes[mode] += 1
+                if oracle is None:
+                    oracle = sample_oracle(map_fn, *tile_bin(tile, PARAMS), frustum)
+                assert oracle is Classification.OUTSIDE, (tile.tile_id, mode)
+        # the poses come close enough to the edge for prunes to be tested
+        assert min(prunes.values()) >= 40, prunes
