@@ -69,16 +69,14 @@ def _method_config(scenario: Scenario, method_name: str):
 
 
 def _prepare(scenario: Scenario, base_dir=None):
-    heightfield = scenario.build_heightfield(base_dir)
-    pyramid = build_minmax_pyramid(heightfield, scenario.terrain)
-    return heightfield, pyramid
+    return build_minmax_pyramid(scenario.build_heightfield(base_dir), scenario.terrain)
 
 
 def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
     """Execute every (frame, method) traversal and write run artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, pyramid = _prepare(scenario, base_dir)
+    pyramid = _prepare(scenario, base_dir)
     configs = {name: _method_config(scenario, name) for name in scenario.methods}
 
     rows = []
@@ -130,7 +128,7 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
     if not scenario.oracle_enabled:
         raise ScenarioError("$.oracle.enabled: compare needs the oracle enabled")
 
-    _, pyramid = _prepare(scenario, base_dir)
+    pyramid = _prepare(scenario, base_dir)
     params = scenario.geodetic
     map_fn = lambda pts: sphere_point(params, pts)
     configs = {name: _method_config(scenario, name) for name in scenario.methods}

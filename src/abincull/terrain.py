@@ -118,6 +118,15 @@ class HeightField:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.size == 0:
             raise ValueError("samples must be a non-empty 2D grid")
+        finite = np.isfinite(s)
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise ValueError(f"sample at row {r}, column {c} is not finite: {s[r, c]}")
+        # the pyramid's sorted search needs ascending sample coordinates
+        for name in ("lat_range", "lon_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{name} must be finite with lo <= hi, got {(lo, hi)}")
         object.__setattr__(self, "samples", s)
 
     @property
@@ -152,9 +161,10 @@ class TerrainConfig:
     cull: CullConfig = field(default_factory=CullConfig)
 
     def __post_init__(self):
-        if not 0 <= self.start_level <= self.max_level <= 24:
+        # each level is a dense float64 (min, max) pair: 512 MiB at level 12
+        if not 0 <= self.start_level <= self.max_level <= 12:
             raise ValueError(
-                f"need 0 <= start_level <= max_level <= 24, got "
+                f"need 0 <= start_level <= max_level <= 12, got "
                 f"{self.start_level}..{self.max_level}")
 
 
@@ -212,9 +222,10 @@ class MinMaxPyramid:
     """Per-level, per-tile terrain height intervals over fixed lat/lon ranges.
 
     Levels 0..max_level are stored as (h_min, h_max) array pairs of the
-    level's grid shape.  Finest-level intervals come from the heightfield
-    samples inside each tile's closed rectangle; coarser intervals are the
-    hull of the four children.  Tiles with no samples get [0, 0].
+    level's grid shape.  Finest-level intervals span the samples in each
+    tile's closed rectangle, so an on-edge sample counts for every tile on
+    that edge; coarser intervals are the hull of the four children.  Tiles
+    with no samples get [0, 0] and are counted in ``empty_tiles``.
     """
 
     def __init__(self, levels, empty_tiles: int,
@@ -235,59 +246,36 @@ class MinMaxPyramid:
                                  self.interval(level, i, j))
 
 
-def _bin_indices(values: np.ndarray, edges: np.ndarray):
-    """Tile index per value plus a mask of values exactly on an interior
-    edge (which belong to the lower neighbor too); out-of-range values get
-    index -1."""
-    idx = np.searchsorted(edges, values, side="right") - 1
-    idx = np.clip(idx, 0, len(edges) - 2)
-    in_range = (values >= edges[0]) & (values <= edges[-1])
-    idx = np.where(in_range, idx, -1)
-    on_lower_edge = in_range & (idx > 0) & (values == edges[idx.clip(0)])
-    return idx, on_lower_edge
+def _closed_minmax(h_min: np.ndarray, h_max: np.ndarray, coords: np.ndarray,
+                   edges: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min of ``h_min`` and max of ``h_max`` (2D) along ``axis`` over the
+    samples whose ascending ``coords`` lie in each closed interval
+    [edges[k], edges[k+1]]; an interval with no sample gives +inf / -inf."""
+    start = np.searchsorted(coords, edges[:-1], side="left")
+    stop = np.searchsorted(coords, edges[1:], side="right")
+    # the even outputs of reduceat over interleaved (start, stop) pairs reduce
+    # [start, stop); one pad element keeps every stop a valid index
+    bounds = np.column_stack((start, stop)).ravel()
+    empty = np.expand_dims(start == stop, 1 - axis)
+    out = []
+    for ufunc, values, fill in ((np.minimum, h_min, np.inf), (np.maximum, h_max, -np.inf)):
+        padded = np.pad(values, [(0, int(a == axis)) for a in (0, 1)], constant_values=fill)
+        reduced = ufunc.reduceat(padded, bounds, axis=axis)
+        out.append(np.where(empty, fill, reduced.take(np.arange(0, bounds.size, 2), axis=axis)))
+    return tuple(out)
 
 
 def build_minmax_pyramid(hf: HeightField, cfg: TerrainConfig) -> MinMaxPyramid:
     n_lat, n_lon = _grid_shape(cfg.max_level)
     lat_edges = _edges(cfg.lat_range[0], cfg.lat_range[1], n_lat)
     lon_edges = _edges(cfg.lon_range[0], cfg.lon_range[1], n_lon)
-
-    lats = hf.sample_lats()
-    lons = hf.sample_lons()
-    li, li_dup = _bin_indices(lats, lat_edges)
-    lj, lj_dup = _bin_indices(lons, lon_edges)
-
-    rows_i, cols_j = np.meshgrid(np.arange(hf.rows), np.arange(hf.cols), indexing="ij")
-    rows_i = rows_i.ravel()
-    cols_j = cols_j.ravel()
-    heights = hf.samples.ravel()
-
-    tile_i = li[rows_i]
-    tile_j = lj[cols_j]
-    keep = (tile_i >= 0) & (tile_j >= 0)
-
-    # closed-rectangle membership: duplicate samples sitting exactly on an
-    # interior edge into the adjacent tile(s)
-    ii = [tile_i[keep]]
-    jj = [tile_j[keep]]
-    hh = [heights[keep]]
-    dup_i = li_dup[rows_i] & keep
-    dup_j = lj_dup[cols_j] & keep
-    if dup_i.any():
-        ii.append(tile_i[dup_i] - 1); jj.append(tile_j[dup_i]); hh.append(heights[dup_i])
-    if dup_j.any():
-        ii.append(tile_i[dup_j]); jj.append(tile_j[dup_j] - 1); hh.append(heights[dup_j])
-    both = dup_i & dup_j
-    if both.any():
-        ii.append(tile_i[both] - 1); jj.append(tile_j[both] - 1); hh.append(heights[both])
-    all_i = np.concatenate(ii)
-    all_j = np.concatenate(jj)
-    all_h = np.concatenate(hh)
-
-    hmin = np.full((n_lat, n_lon), np.inf)
-    hmax = np.full((n_lat, n_lon), -np.inf)
-    np.minimum.at(hmin, (all_i, all_j), all_h)
-    np.maximum.at(hmax, (all_i, all_j), all_h)
+    # separable: a sample is in tile (i, j)'s closed rectangle exactly when
+    # its latitude is in row i's interval and its longitude in column j's
+    row_min, row_max = _closed_minmax(hf.samples, hf.samples, hf.sample_lons(),
+                                      lon_edges, axis=1)
+    # rows run north to south, so latitudes ascend over the reversed rows
+    hmin, hmax = _closed_minmax(row_min[::-1], row_max[::-1], hf.sample_lats()[::-1],
+                                lat_edges, axis=0)
 
     empty = ~np.isfinite(hmin)
     empty_tiles = int(empty.sum())
@@ -382,21 +370,29 @@ def _parse_header_text(text: str, source: str) -> dict:
                 continue
             key, val = parts
         values[key.strip().lower()] = val.strip()
-    required = ("nrows", "ncols", "ulxmap", "ulymap", "xdim", "ydim")
+    values.setdefault("nodata", "-9999")
+
+    def invalid(key, why):
+        return IngestError(f"{source}: header field '{key}' = {values[key]!r} {why}")
+
     parsed = {}
-    for key in required:
+    for key in ("nrows", "ncols", "ulxmap", "ulymap", "xdim", "ydim", "nodata"):
         if key not in values:
             raise IngestError(f"{source}: missing header field '{key}'")
         try:
             parsed[key] = float(values[key])
         except ValueError:
-            raise IngestError(f"{source}: unparseable header field '{key}' = "
-                              f"{values[key]!r}") from None
-    parsed["nrows"] = int(parsed["nrows"])
-    parsed["ncols"] = int(parsed["ncols"])
-    if parsed["nrows"] < 1 or parsed["ncols"] < 1:
-        raise IngestError(f"{source}: header field 'nrows'/'ncols' must be positive")
-    parsed["nodata"] = float(values.get("nodata", -9999.0))
+            raise invalid(key, "is not a number") from None
+        if not math.isfinite(parsed[key]):
+            raise invalid(key, "is not finite")
+    for key in ("nrows", "ncols"):
+        if parsed[key] < 1 or not parsed[key].is_integer():
+            raise invalid(key, "is not a positive integer")
+        parsed[key] = int(parsed[key])
+    # a one-sample axis has spacing 0 (write_heightfield writes that)
+    for key in ("xdim", "ydim"):
+        if parsed[key] < 0:
+            raise invalid(key, "is negative")
     return parsed
 
 
@@ -409,12 +405,15 @@ def _georef_from_header(hdr: dict) -> tuple[tuple[float, float], tuple[float, fl
     return (lat_lo, lat_hi), (lon_lo, lon_hi)
 
 
-def _ingest(raw: np.ndarray, hdr: dict) -> HeightField:
+def _ingest(raw: np.ndarray, hdr: dict, path: Path) -> HeightField:
     grid = raw.astype(float).reshape(hdr["nrows"], hdr["ncols"])
     grid[grid == hdr["nodata"]] = 0.0
     grid = np.clip(grid, HEIGHT_CLAMP[0], HEIGHT_CLAMP[1])
     lat_range, lon_range = _georef_from_header(hdr)
-    return HeightField(grid, lat_range, lon_range, nodata=hdr["nodata"])
+    try:
+        return HeightField(grid, lat_range, lon_range, nodata=hdr["nodata"])
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def _load_raw_dem(path: Path) -> HeightField:
@@ -433,7 +432,7 @@ def _load_raw_dem(path: Path) -> HeightField:
             f"{path}: payload is {len(payload)} bytes but header field "
             f"'nrows' x 'ncols' implies {expected}")
     raw = np.frombuffer(payload, dtype=">i2")
-    return _ingest(raw, hdr)
+    return _ingest(raw, hdr, path)
 
 
 def _load_portable(path: Path, blob: bytes) -> HeightField:
@@ -453,7 +452,7 @@ def _load_portable(path: Path, blob: bytes) -> HeightField:
             f"'nrows' x 'ncols' implies {expected}")
     raw = np.frombuffer(blob, dtype="<f8", count=hdr["nrows"] * hdr["ncols"],
                         offset=off)
-    return _ingest(raw, hdr)
+    return _ingest(raw, hdr, path)
 
 
 def load_heightfield(path) -> HeightField:

@@ -131,11 +131,12 @@ class TestParseScenario:
          {"cameras": [{"orbit": {"frames": 2, "altitude_m": 5e5}, "eye": [0, 0, 7e6]}]}),
         (r"\$\.cameras\[0\]: expected an object", {"cameras": [5]}),
         (r"\$\.orcale: unknown field", {"orcale": {"enabled": True}}),
+        (r"\$\.terrain: need .* <= 12", {"terrain": {"max_level": 13}}),
     ], ids=["lattice_below_2", "lattice_fraction", "seed", "start_level",
          "max_level", "orbit_frames", "heightfield_rows", "heightfield_cols_below_2",
          "enabled_string", "enabled_number", "terrain_typo", "terrain_altitude_range",
          "oracle_not_object", "geodetic_not_object", "pose_typo", "orbit_entry_extra",
-         "camera_not_object", "top_level_typo"])
+         "camera_not_object", "top_level_typo", "max_level_above_12"])
     def test_rejects_bad_field_with_path(self, path, doc):
         with pytest.raises(ScenarioError, match=path):
             parse_scenario(json.dumps(dict(MINIMAL, **doc)))
@@ -202,7 +203,8 @@ class TestCliRun:
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("option, value", [
-        ("--start-level", "5"), ("--inflation", "3.0"), ("--max-level", "25")])
+        ("--start-level", "5"), ("--inflation", "3.0"), ("--max-level", "25"),
+        ("--max-level", "13")])
     def test_out_of_range_override_exits_2(self, tmp_path, scenarios_dir, capsys,
                                            command, option, value):
         # smoke.json has max_level 3; each override breaks a config invariant

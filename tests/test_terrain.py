@@ -250,6 +250,55 @@ class TestMinMaxPyramid:
         assert hmin.min() == 0.0
         assert hmax.max() == 777.0
 
+    @pytest.mark.parametrize("case", ["on_edges", "partial", "one_row", "one_col",
+                                      "orbit_sinusoidal"])
+    def test_finest_level_equals_closed_rectangle_rule(self, rng, scenarios_dir, case):
+        # brute force: each tile's min/max over the samples whose latitude
+        # and longitude lie in its closed intervals; [0, 0] and counted
+        # empty when there is none
+        for _ in range(4):
+            level = int(rng.integers(1, 5))
+            cfg = TerrainConfig(start_level=0, max_level=level)
+            rows, cols = (int(n) for n in rng.integers(1, 40, size=2))
+            lat_range, lon_range = (-PI / 2, PI / 2), (-PI, PI)
+            if case == "on_edges":
+                rows, cols = 2 ** level + 1, 2 ** (level + 1) + 1
+            elif case == "partial":
+                lat_range = tuple(np.sort(rng.uniform(-PI / 2, PI / 2, size=2)))
+                lon_range = tuple(np.sort(rng.uniform(-PI, PI, size=2)))
+            elif case == "one_row":
+                rows = 1
+            elif case == "one_col":
+                cols = 1
+            else:
+                terrain = load_scenario(scenarios_dir / "orbit_sinusoidal.json").terrain
+                cfg = TerrainConfig(0, level, terrain.lat_range, terrain.lon_range)
+                rows, cols = 2 ** level + 1, 2 ** (level + 1) + 1
+            # rounded heights make ties between neighbouring samples common
+            grid = np.round(rng.uniform(-500.0, 9000.0, size=(rows, cols)), -2)
+            hf = HeightField(grid, lat_range, lon_range)
+            pyramid = build_minmax_pyramid(hf, cfg)
+
+            n_lat, n_lon = _grid_shape(level)
+            lat_edges = _edges(cfg.lat_range[0], cfg.lat_range[1], n_lat)
+            lon_edges = _edges(cfg.lon_range[0], cfg.lon_range[1], n_lon)
+            lats, lons = hf.sample_lats(), hf.sample_lons()
+            want_min, want_max = np.zeros((n_lat, n_lon)), np.zeros((n_lat, n_lon))
+            empty = 0
+            for i in range(n_lat):
+                row_mask = (lats >= lat_edges[i]) & (lats <= lat_edges[i + 1])
+                for j in range(n_lon):
+                    col_mask = (lons >= lon_edges[j]) & (lons <= lon_edges[j + 1])
+                    block = grid[np.ix_(row_mask, col_mask)]
+                    if block.size:
+                        want_min[i, j], want_max[i, j] = block.min(), block.max()
+                    else:
+                        empty += 1
+            hmin, hmax = pyramid.levels[level]
+            assert np.array_equal(hmin, want_min)
+            assert np.array_equal(hmax, want_max)
+            assert pyramid.empty_tiles == empty
+
 
 class TestHeightFieldIO:
     def test_raw_dem_decode(self, tmp_path):
@@ -316,6 +365,50 @@ class TestHeightFieldIO:
         assert np.allclose(back.samples, hf.samples)
         assert back.lat_range == pytest.approx(hf.lat_range)
         assert back.lon_range == pytest.approx(hf.lon_range)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nrows", "nan"), ("nrows", "3.5"), ("ncols", "inf"), ("xdim", "nan"),
+        ("xdim", "-0.5"), ("ydim", "-0.5"), ("ulymap", "inf"),
+        ("nodata", "nan"), ("nodata", "none")])
+    def test_bad_header_value_rejected(self, tmp_path, field, value):
+        header = {"nrows": "3", "ncols": "5", "ulxmap": "10", "ulymap": "50",
+                  "xdim": "0.5", "ydim": "0.5", "nodata": "-9999", field: value}
+        dem = tmp_path / "bad.dem"
+        dem.write_bytes(struct.pack(">15h", *range(15)))
+        (tmp_path / "bad.hdr").write_text(
+            "".join(f"{key} {val}\n" for key, val in header.items()))
+        with pytest.raises(IngestError, match=f"'{field}'"):
+            load_heightfield(dem)
+
+    def test_one_sample_axis_with_zero_spacing_roundtrips(self, tmp_path):
+        hf = HeightField(np.array([[1.0, 2.0, 3.0]]), (0.25, 0.25), (0.1, 0.3))
+        path = tmp_path / "row.abhf"
+        write_heightfield(hf, path)
+        back = load_heightfield(path)
+        assert back.samples.tolist() == [[1.0, 2.0, 3.0]]
+        assert back.lat_range == pytest.approx((0.25, 0.25))
+
+    def test_non_finite_sample_names_file_and_position(self, tmp_path):
+        hf = synth_heightfield("FLAT", rows=9, cols=17, value=3000.0)
+        path = tmp_path / "hole.abhf"
+        write_heightfield(hf, path)
+        blob = bytearray(path.read_bytes())
+        offset = len(blob) - 8 * (9 * 17 - (4 * 17 + 6))
+        blob[offset:offset + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IngestError, match=r"hole\.abhf: sample at row 4, column 6"):
+            load_heightfield(path)
+
+    @pytest.mark.parametrize("samples, lat_range, lon_range", [
+        ([[1.0, float("nan")]], (-1.0, 1.0), (-1.0, 1.0)),
+        ([[1.0, float("inf")]], (-1.0, 1.0), (-1.0, 1.0)),
+        ([[1.0, 2.0]], (1.0, -1.0), (-1.0, 1.0)),
+        ([[1.0, 2.0]], (-1.0, 1.0), (float("nan"), 1.0)),
+        ([[1.0, 2.0]], (-1.0, float("inf")), (-1.0, 1.0)),
+    ], ids=["nan_sample", "inf_sample", "inverted_lat", "nan_lon", "inf_lat"])
+    def test_heightfield_rejects_bad_values(self, samples, lat_range, lon_range):
+        with pytest.raises(ValueError):
+            HeightField(np.array(samples), lat_range, lon_range)
 
     def test_portable_corrupt_payload(self, tmp_path):
         hf = synth_heightfield("FLAT", rows=4, cols=4, value=1.0)
