@@ -1,0 +1,68 @@
+"""Print sha256 digests of the byte-deterministic outputs of the bundled scenarios.
+
+Runs ``abincull run`` on smoke, peak_orbit and orbit_sinusoidal and
+``abincull compare`` on smoke and peak_orbit into a temporary directory, then
+prints one sha256 per output file (``timings.csv`` excluded: it holds measured
+wall times) and one combined digest over all of them.  Each compare's stdout
+is digested as ``compare_<scenario>/stdout.txt``.  Two checkouts whose
+combined digests agree produce byte-identical outputs.
+
+    python scripts/output_digests.py              # this checkout
+    python scripts/output_digests.py OTHER_CHECKOUT   # its src/ and scenarios/
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+RUNS = (
+    ("run", "smoke"),
+    ("run", "peak_orbit"),
+    ("run", "orbit_sinusoidal"),
+    ("compare", "smoke"),
+    ("compare", "peak_orbit"),
+)
+UNSTABLE = ("timings.csv",)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parents[1],
+                        type=Path, help="repository checkout to run (default: this one)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.checkout / "src"))
+    from abincull.cli import main as abincull_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for command, name in RUNS:
+            out = root / f"{command}_{name}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = abincull_main([command, str(args.checkout / "scenarios" / f"{name}.json"),
+                                    "-o", str(out)])
+            if rc != 0:
+                print(f"error: {command} {name} exited {rc}", file=sys.stderr)
+                return 1
+            if command == "compare":
+                (out / "stdout.txt").write_text(stdout.getvalue())
+
+        combined = hashlib.sha256()
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            if path.name in UNSTABLE:
+                continue
+            line = f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+            print(line)
+            combined.update((line + "\n").encode())
+    print(f"{combined.hexdigest()}  combined")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -395,7 +395,7 @@ def _orbit_pose(rng, params: GeodeticParams) -> CameraPose:
     up = rng.normal(size=3)
     up -= (up @ direction) * direction
     up /= np.linalg.norm(up)
-    return CameraPose(eye, -direction, up, rng.uniform(0.4, 1.6),
+    return CameraPose(eye, -direction, up, rng.uniform(0.4, 1.8),
                       rng.uniform(0.6, 2.0), altitude / 100.0, 4.0 * altitude)
 
 

@@ -21,8 +21,6 @@ __all__ = [
     "frustum_corners",
 ]
 
-PLANE_NAMES = ("near", "far", "left", "right", "top", "bottom")
-
 
 def _unit(v, what: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)

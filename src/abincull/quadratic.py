@@ -349,14 +349,10 @@ def box_extrema_grid(q: ScalarQuadratic, box: Box3, n: int) -> Extrema:
     """Min/max over the n x n x n lattice spanning the box, corners included."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    c0, b0, b1, b2, h00, h01, h02, h11, h12, h22 = _unpack(q)
     xs = np.linspace(box.lo[0], box.hi[0], n)
     ys = np.linspace(box.lo[1], box.hi[1], n)
     zs = np.linspace(box.lo[2], box.hi[2], n)
-    x, y, z = np.meshgrid(xs, ys, zs, indexing="ij", copy=False)
-    vals = (c0 + b0 * x + b1 * y + b2 * z
-            + 0.5 * (h00 * x * x + h11 * y * y + h22 * z * z)
-            + h01 * x * y + h02 * x * z + h12 * y * z)
+    vals = _eval_f(*_unpack(q), *np.meshgrid(xs, ys, zs, indexing="ij", copy=False))
     kmin = np.unravel_index(int(np.argmin(vals)), vals.shape)
     kmax = np.unravel_index(int(np.argmax(vals)), vals.shape)
     return Extrema(float(vals[kmin]), float(vals[kmax]),

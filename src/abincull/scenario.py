@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .terrain import (
     FULL_LON_RANGE,
     HeightField,
     Method,
+    SynthKind,
     TerrainConfig,
     load_heightfield,
     synth_heightfield,
@@ -67,10 +69,12 @@ class Scenario:
         if "path" in spec:
             path = spec["path"]
             if base_dir is not None:
-                from pathlib import Path
                 path = Path(base_dir) / path
             return load_heightfield(path)
-        return synth_heightfield(**spec)
+        try:
+            return synth_heightfield(**spec)
+        except ValueError as exc:
+            raise ScenarioError(f"$.terrain.heightfield: {exc}") from None
 
 
 def orbit_cameras(frames: int, altitude_m: float, radius_m: float = EARTH_RADIUS_M,
@@ -193,7 +197,7 @@ def _parse_heightfield(obj, path) -> dict:
     if "path" in obj:
         return {"path": obj["path"]}
     kind = _expect(obj, "kind", path, required=True)
-    if kind not in ("FLAT", "SINGLE_PEAK", "SINUSOIDAL"):
+    if kind not in [k.value for k in SynthKind]:
         raise ScenarioError(f"{path}.kind: unknown synthetic kind {kind!r}")
     spec = {"kind": kind}
     for key in obj:
@@ -284,5 +288,4 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    from pathlib import Path
     return parse_scenario(Path(path).read_text())

@@ -73,6 +73,20 @@ class IngestError(ValueError):
     """Heightfield ingestion failure; message names the offending field."""
 
 
+def _check_angle_ranges(lat_range: tuple[float, float],
+                        lon_range: tuple[float, float]) -> None:
+    """Both intervals increasing and on the globe, up to 1e-12 rad of slack."""
+    lat_lo, lat_hi = lat_range
+    lon_lo, lon_hi = lon_range
+    if not lat_lo < lat_hi or not lon_lo < lon_hi:
+        raise ValueError("lat and lon intervals must have positive width")
+    eps = 1e-12
+    if lat_lo < -math.pi / 2 - eps or lat_hi > math.pi / 2 + eps:
+        raise ValueError(f"latitude range outside [-pi/2, pi/2]: {lat_range}")
+    if lon_lo < -math.pi - eps or lon_hi > math.pi + eps:
+        raise ValueError(f"longitude range outside [-pi, pi]: {lon_range}")
+
+
 @dataclass(frozen=True)
 class GeoTile:
     """Quadtree tile: angular rectangle plus its height interval."""
@@ -87,18 +101,10 @@ class GeoTile:
     def __post_init__(self):
         if self.level < 0 or self.i < 0 or self.j < 0:
             raise ValueError("level and indices must be non-negative")
-        lat_lo, lat_hi = self.lat_range
-        lon_lo, lon_hi = self.lon_range
+        _check_angle_ranges(self.lat_range, self.lon_range)
         h_lo, h_hi = self.height_range
-        if not lat_lo < lat_hi or not lon_lo < lon_hi:
-            raise ValueError("lat and lon intervals must have positive width")
         if h_lo > h_hi:
             raise ValueError("height interval inverted")
-        eps = 1e-12
-        if lat_lo < -math.pi / 2 - eps or lat_hi > math.pi / 2 + eps:
-            raise ValueError(f"latitude range outside [-pi/2, pi/2]: {self.lat_range}")
-        if lon_lo < -math.pi - eps or lon_hi > math.pi + eps:
-            raise ValueError(f"longitude range outside [-pi, pi]: {self.lon_range}")
 
     @property
     def tile_id(self) -> str:
@@ -166,6 +172,7 @@ class TerrainConfig:
             raise ValueError(
                 f"need 0 <= start_level <= max_level <= 12, got "
                 f"{self.start_level}..{self.max_level}")
+        _check_angle_ranges(self.lat_range, self.lon_range)
 
 
 @dataclass
@@ -352,8 +359,17 @@ def synth_heightfield(kind: SynthKind | str, rows: int = 257, cols: int = 513,
             raise ValueError(f"amplitude must be in [0, 9000], got {amplitude}")
         lat_g, lon_g = np.meshgrid(lats, lons, indexing="ij")
         grid = amplitude * (1.0 + np.sin(frequency * lat_g) * np.cos(frequency * lon_g)) / 2.0
-    grid = np.clip(grid, HEIGHT_CLAMP[0], HEIGHT_CLAMP[1])
-    return HeightField(grid, lat_range, lon_range)
+    return _clamped_field(grid, lat_range, lon_range)
+
+
+def _clamped_field(grid: np.ndarray, lat_range: tuple[float, float],
+                   lon_range: tuple[float, float], nodata: float = -9999.0) -> HeightField:
+    """HeightField over ``grid``, a float array the caller owns, with its
+    samples clamped in place to HEIGHT_CLAMP once HeightField has checked
+    that they are finite (so +-inf is rejected, not clamped)."""
+    hf = HeightField(grid, lat_range, lon_range, nodata)
+    np.clip(hf.samples, *HEIGHT_CLAMP, out=hf.samples)
+    return hf
 
 
 def _parse_header_text(text: str, source: str) -> dict:
@@ -396,75 +412,57 @@ def _parse_header_text(text: str, source: str) -> dict:
     return parsed
 
 
-def _georef_from_header(hdr: dict) -> tuple[tuple[float, float], tuple[float, float]]:
-    # ulymap/ulxmap locate the first (north-west) sample; spacing in degrees
-    lat_hi = math.radians(hdr["ulymap"])
-    lat_lo = math.radians(hdr["ulymap"] - (hdr["nrows"] - 1) * hdr["ydim"])
-    lon_lo = math.radians(hdr["ulxmap"])
-    lon_hi = math.radians(hdr["ulxmap"] + (hdr["ncols"] - 1) * hdr["xdim"])
-    return (lat_lo, lat_hi), (lon_lo, lon_hi)
-
-
-def _ingest(raw: np.ndarray, hdr: dict, path: Path) -> HeightField:
-    grid = raw.astype(float).reshape(hdr["nrows"], hdr["ncols"])
-    grid[grid == hdr["nodata"]] = 0.0
-    grid = np.clip(grid, HEIGHT_CLAMP[0], HEIGHT_CLAMP[1])
-    lat_range, lon_range = _georef_from_header(hdr)
-    try:
-        return HeightField(grid, lat_range, lon_range, nodata=hdr["nodata"])
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
-
-
-def _load_raw_dem(path: Path) -> HeightField:
-    header_path = None
-    for candidate in (path.with_suffix(".hdr"), path.with_suffix(".HDR")):
-        if candidate.exists():
-            header_path = candidate
-            break
-    if header_path is None:
-        raise IngestError(f"{path}: no sidecar header ({path.with_suffix('.hdr')})")
-    hdr = _parse_header_text(header_path.read_text(), str(header_path))
-    payload = path.read_bytes()
-    expected = hdr["nrows"] * hdr["ncols"] * 2
-    if len(payload) != expected:
-        raise IngestError(
-            f"{path}: payload is {len(payload)} bytes but header field "
-            f"'nrows' x 'ncols' implies {expected}")
-    raw = np.frombuffer(payload, dtype=">i2")
-    return _ingest(raw, hdr, path)
-
-
-def _load_portable(path: Path, blob: bytes) -> HeightField:
-    off = len(PORTABLE_MAGIC)
-    if len(blob) < off + 4:
-        raise IngestError(f"{path}: truncated header length")
-    (hdr_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if len(blob) < off + hdr_len:
-        raise IngestError(f"{path}: truncated header ({hdr_len} bytes declared)")
-    hdr = _parse_header_text(blob[off:off + hdr_len].decode("utf-8"), str(path))
-    off += hdr_len
-    expected = hdr["nrows"] * hdr["ncols"] * 8
-    if len(blob) - off != expected:
-        raise IngestError(
-            f"{path}: payload is {len(blob) - off} bytes but header field "
-            f"'nrows' x 'ncols' implies {expected}")
-    raw = np.frombuffer(blob, dtype="<f8", count=hdr["nrows"] * hdr["ncols"],
-                        offset=off)
-    return _ingest(raw, hdr, path)
-
-
 def load_heightfield(path) -> HeightField:
     """Read a heightfield: either the portable container (8-byte magic,
     length-prefixed text header, little-endian float64 samples) or a raw
     big-endian int16 grid with a text sidecar header.  Nodata samples map to
-    sea level and heights are clamped to [-500, 9000]."""
+    sea level, non-finite samples are rejected and heights are clamped to
+    [-500, 9000]."""
     path = Path(path)
     blob = path.read_bytes()
-    if blob[:len(PORTABLE_MAGIC)] == PORTABLE_MAGIC:
-        return _load_portable(path, blob)
-    return _load_raw_dem(path)
+    if blob.startswith(PORTABLE_MAGIC):
+        off = len(PORTABLE_MAGIC)
+        if len(blob) < off + 4:
+            raise IngestError(f"{path}: truncated header length")
+        (hdr_len,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        if len(blob) < off + hdr_len:
+            raise IngestError(f"{path}: truncated header ({hdr_len} bytes declared)")
+        header, header_path = blob[off:off + hdr_len], path
+        off += hdr_len
+        dtype = np.dtype("<f8")
+    else:
+        header_path = next((candidate for candidate in
+                            (path.with_suffix(".hdr"), path.with_suffix(".HDR"))
+                            if candidate.exists()), None)
+        if header_path is None:
+            raise IngestError(f"{path}: no sidecar header ({path.with_suffix('.hdr')})")
+        header = header_path.read_bytes()
+        off = 0
+        dtype = np.dtype(">i2")
+    try:
+        header = header.decode("utf-8")
+    except UnicodeDecodeError:
+        raise IngestError(f"{header_path}: header is not UTF-8 text") from None
+    hdr = _parse_header_text(header, str(header_path))
+
+    shape = hdr["nrows"], hdr["ncols"]
+    expected = shape[0] * shape[1] * dtype.itemsize
+    if len(blob) - off != expected:
+        raise IngestError(
+            f"{path}: payload is {len(blob) - off} bytes but header field "
+            f"'nrows' x 'ncols' implies {expected}")
+    grid = np.frombuffer(blob, dtype=dtype, offset=off).astype(float).reshape(shape)
+    grid[grid == hdr["nodata"]] = 0.0
+    # ulymap/ulxmap locate the first (north-west) sample; spacing in degrees
+    lat_range = (math.radians(hdr["ulymap"] - (shape[0] - 1) * hdr["ydim"]),
+                 math.radians(hdr["ulymap"]))
+    lon_range = (math.radians(hdr["ulxmap"]),
+                 math.radians(hdr["ulxmap"] + (shape[1] - 1) * hdr["xdim"]))
+    try:
+        return _clamped_field(grid, lat_range, lon_range, hdr["nodata"])
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def write_heightfield(hf: HeightField, path) -> None:

@@ -209,7 +209,7 @@ class TestClassifyBin:
                              rng.uniform(0.01, 0.1),
                              rng.uniform(0.01, 0.1)])
             jet = sphere_jet(PARAMS, center)
-            pose = random_orbit_pose(rng)
+            pose = _orbit_pose(rng, PARAMS)
             frustum = frustum_from_camera(pose)
             offsets = Box3(-half, half)
             tight = classify_bin(jet, offsets, frustum, CullConfig(1.0))
@@ -219,15 +219,3 @@ class TestClassifyBin:
             if loose is Classification.INSIDE:
                 assert tight is Classification.INSIDE
 
-
-def random_orbit_pose(rng):
-    altitude = rng.uniform(2e5, 8e6)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    up = rng.normal(size=3)
-    up -= (up @ direction) * direction
-    up /= np.linalg.norm(up)
-    from abincull import CameraPose
-    return CameraPose((R + altitude) * direction, -direction, up,
-                      rng.uniform(0.4, 1.8), rng.uniform(0.6, 2.0),
-                      altitude / 100.0, 4.0 * altitude)

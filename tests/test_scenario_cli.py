@@ -132,11 +132,15 @@ class TestParseScenario:
         (r"\$\.cameras\[0\]: expected an object", {"cameras": [5]}),
         (r"\$\.orcale: unknown field", {"orcale": {"enabled": True}}),
         (r"\$\.terrain: need .* <= 12", {"terrain": {"max_level": 13}}),
+        (r"\$\.terrain: .*positive width", {"terrain": {"lat_range": [1.0, -1.0]}}),
+        (r"\$\.terrain: .*positive width", {"terrain": {"lon_range": [0.5, 0.5]}}),
+        (r"\$\.terrain: latitude range outside", {"terrain": {"lat_range": [-3.0, 1.0]}}),
     ], ids=["lattice_below_2", "lattice_fraction", "seed", "start_level",
          "max_level", "orbit_frames", "heightfield_rows", "heightfield_cols_below_2",
          "enabled_string", "enabled_number", "terrain_typo", "terrain_altitude_range",
          "oracle_not_object", "geodetic_not_object", "pose_typo", "orbit_entry_extra",
-         "camera_not_object", "top_level_typo", "max_level_above_12"])
+         "camera_not_object", "top_level_typo", "max_level_above_12",
+         "inverted_lat_range", "zero_width_lon_range", "lat_range_beyond_pole"])
     def test_rejects_bad_field_with_path(self, path, doc):
         with pytest.raises(ScenarioError, match=path):
             parse_scenario(json.dumps(dict(MINIMAL, **doc)))
@@ -212,6 +216,16 @@ class TestCliRun:
                    option, value])
         assert rc == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_bad_synthetic_spec_exits_2(self, tmp_path, scenarios_dir, capsys, command):
+        # parse_scenario accepts any finite amplitude; synth_heightfield caps it
+        doc = json.loads((scenarios_dir / "smoke.json").read_text())
+        doc["terrain"]["heightfield"] = {"kind": "SINUSOIDAL", "amplitude": 12000}
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: $.terrain.heightfield: amplitude")
 
     def test_overrides_apply(self, tmp_path, scenarios_dir):
         sc = load_scenario(scenarios_dir / "smoke.json")

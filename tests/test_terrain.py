@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,15 +389,44 @@ class TestHeightFieldIO:
         assert back.samples.tolist() == [[1.0, 2.0, 3.0]]
         assert back.lat_range == pytest.approx((0.25, 0.25))
 
-    def test_non_finite_sample_names_file_and_position(self, tmp_path):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_file_and_position(self, tmp_path, value):
+        # checked before the clamp, so +-inf is rejected rather than read as 9000 / -500
         hf = synth_heightfield("FLAT", rows=9, cols=17, value=3000.0)
         path = tmp_path / "hole.abhf"
         write_heightfield(hf, path)
         blob = bytearray(path.read_bytes())
         offset = len(blob) - 8 * (9 * 17 - (4 * 17 + 6))
-        blob[offset:offset + 8] = struct.pack("<d", float("nan"))
+        blob[offset:offset + 8] = struct.pack("<d", float(value))
         path.write_bytes(bytes(blob))
-        with pytest.raises(IngestError, match=r"hole\.abhf: sample at row 4, column 6"):
+        with pytest.raises(IngestError,
+                           match=rf"hole\.abhf: sample at row 4, column 6 is not finite: {value}"):
+            load_heightfield(path)
+
+    def test_raw_dem_read_once(self, tmp_path, monkeypatch):
+        dem = tmp_path / "once.dem"
+        dem.write_bytes(struct.pack(">2h", 5, 6))
+        (tmp_path / "once.hdr").write_text(
+            "nrows=1\nncols=2\nulxmap=0\nulymap=0\nxdim=1\nydim=1\n")
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        assert load_heightfield(dem).samples.tolist() == [[5.0, 6.0]]
+        assert reads.count(dem) == 1
+
+    @pytest.mark.parametrize("container", ["raw", "portable"])
+    def test_non_utf8_header_rejected(self, tmp_path, container):
+        header = b"nrows=1\nncols=1\nulxmap=0\nulymap=0\nxdim=1\nydim=1\n\xff\n"
+        if container == "raw":
+            path = tmp_path / "latin.dem"
+            path.write_bytes(struct.pack(">h", 5))
+            (tmp_path / "latin.hdr").write_bytes(header)
+        else:
+            path = tmp_path / "latin.abhf"
+            path.write_bytes(b"ABINHF01" + struct.pack("<I", len(header)) + header
+                             + struct.pack("<d", 5.0))
+        with pytest.raises(IngestError, match=r"latin\.(hdr|abhf): header is not UTF-8"):
             load_heightfield(path)
 
     @pytest.mark.parametrize("samples, lat_range, lon_range", [
