@@ -1,7 +1,7 @@
 """Print sha256 digests of the byte-deterministic outputs of the bundled scenarios.
 
-Runs ``abincull run`` on smoke, peak_orbit and orbit_sinusoidal and
-``abincull compare`` on smoke and peak_orbit into a temporary directory, then
+Runs ``abincull run`` and ``abincull compare`` on smoke, peak_orbit and
+orbit_sinusoidal into a temporary directory, then
 prints one sha256 per output file (``timings.csv`` excluded: it holds measured
 wall times) and one combined digest over all of them.  Each compare's stdout
 is digested as ``compare_<scenario>/stdout.txt``.  Two checkouts whose
@@ -27,6 +27,7 @@ RUNS = (
     ("run", "orbit_sinusoidal"),
     ("compare", "smoke"),
     ("compare", "peak_orbit"),
+    ("compare", "orbit_sinusoidal"),
 )
 UNSTABLE = ("timings.csv",)
 

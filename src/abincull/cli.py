@@ -1,11 +1,12 @@
 """Benchmark harness: run scenarios, compare methods, self-test invariants.
 
-``run`` traverses the terrain per frame per method and writes stats.csv
-plus one visible-tile JSON per (method, frame).  stats.csv is byte-stable
-across repeated runs, so its elapsed_ns column is a fixed 0 placeholder;
-measured wall times go to timings.csv, which is host-dependent by nature.
+``run`` and ``compare`` share one frame loop: per frame, one frustum and one
+traversal per distinct method name.  ``run`` writes stats.csv plus one
+visible-tile JSON per (method, frame).  stats.csv is byte-stable across
+repeated runs, so its elapsed_ns column is a fixed 0 placeholder; measured
+wall times go to timings.csv, which is host-dependent.
 
-``compare`` additionally reads each method's start-level grid verdicts back
+``compare`` reads each method's start-level grid verdicts back
 from its traversal, classifies the same grid with the sampling oracle,
 oracle-checks every tile a traversal pruned, and writes a comparison report
 with per-frame INTERSECT ratios and UNSOUND flags (tiles claimed OUTSIDE
@@ -59,34 +60,43 @@ STATS_COLUMNS = ("frame", "method", "visited", "outside", "inside", "intersect",
                  "leaves_rendered", "max_depth", "elapsed_ns")
 
 
-def _method_config(scenario: Scenario, method_name: str):
-    """Terrain config with the extrema mode the method name implies."""
-    method, mode = METHOD_NAMES[method_name]
-    cull = scenario.terrain.cull
-    if mode is not None:
-        cull = dataclasses.replace(cull, extrema_mode=mode)
-    return method, dataclasses.replace(scenario.terrain, cull=cull)
+def _each_frame(scenario: Scenario, base_dir, handle, keep_classified=False) -> None:
+    """Per frame: one frustum, then ``handle(frame, frustum, results)``, where
+    ``results`` traverses each distinct method once as it is consumed and
+    yields ``(name, (visible, stats, classified))``; ``classified`` maps
+    tile_id -> (tile, classification), filled only if ``keep_classified``.
+    """
+    pyramid = build_minmax_pyramid(scenario.build_heightfield(base_dir), scenario.terrain)
+    configs = {}
+    for name in scenario.methods:
+        method, mode = METHOD_NAMES[name]
+        cull = scenario.terrain.cull
+        if mode is not None:
+            cull = dataclasses.replace(cull, extrema_mode=mode)
+        configs[name] = method, dataclasses.replace(scenario.terrain, cull=cull)
 
+    def results(frustum):
+        for name, (method, cfg) in configs.items():
+            classified = {}
+            record = lambda tile, cls: classified.__setitem__(tile.tile_id, (tile, cls))
+            visible, stats = traverse(frustum, cfg, pyramid, scenario.geodetic, method,
+                                      sink=record if keep_classified else None)
+            yield name, (visible, stats, classified)
 
-def _prepare(scenario: Scenario, base_dir=None):
-    return build_minmax_pyramid(scenario.build_heightfield(base_dir), scenario.terrain)
+    for frame, pose in enumerate(scenario.cameras):
+        frustum = frustum_from_camera(pose)
+        handle(frame, frustum, results(frustum))
 
 
 def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
     """Execute every (frame, method) traversal and write run artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pyramid = _prepare(scenario, base_dir)
-    configs = {name: _method_config(scenario, name) for name in scenario.methods}
-
     rows = []
     timing_rows = []
-    for frame, pose in enumerate(scenario.cameras):
-        frustum = frustum_from_camera(pose)
-        for method_name in scenario.methods:
-            method, cfg = configs[method_name]
-            visible, stats = traverse(frustum, cfg, pyramid, scenario.geodetic,
-                                      method)
+
+    def write_frame(frame, frustum, results):
+        for method_name, (visible, stats, _) in results:
             row = {
                 "frame": frame, "method": method_name,
                 "visited": stats.visited, "outside": stats.outside,
@@ -102,6 +112,7 @@ def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
             path = out / f"visible_{method_name}_{frame}.json"
             path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
+    _each_frame(scenario, base_dir, write_frame)
     for name, data in (("stats.csv", rows), ("timings.csv", timing_rows)):
         with open(out / name, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=STATS_COLUMNS, lineterminator="\n")
@@ -114,7 +125,7 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
                 frame_callback=None):
     """Run all methods plus the oracle; build the comparison report.
 
-    Per frame: every method traverses independently (stats feed the
+    Per frame: every distinct method traverses once (stats feed the
     INTERSECT ratio).  ``traverse`` classifies the whole start-level grid
     first, so each method's grid verdicts are read back from its
     classification map and the oracle classifies the same tiles (the
@@ -128,10 +139,8 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
     if not scenario.oracle_enabled:
         raise ScenarioError("$.oracle.enabled: compare needs the oracle enabled")
 
-    pyramid = _prepare(scenario, base_dir)
     params = scenario.geodetic
     map_fn = lambda pts: sphere_point(params, pts)
-    configs = {name: _method_config(scenario, name) for name in scenario.methods}
     start_ids = [tile.tile_id for tile in root_tiles(scenario.terrain)]
 
     grid_runs = {name: {} for name in scenario.methods}
@@ -139,27 +148,16 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
     stats_by_method = {name: [] for name in scenario.methods}
     pruned_flags = []  # (frame, tile_id, method, oracle_state)
 
-    for frame, pose in enumerate(scenario.cameras):
-        frustum = frustum_from_camera(pose)
-
+    def check_frame(frame, frustum, results):
+        results = dict(results)
         oracle_wanted = {}
-        pruned_by_method = {}
-        classified_by_method = {}
-        for method_name in scenario.methods:
-            method, cfg = configs[method_name]
-            classified = {}
-            sink = lambda tile, cls, _c=classified: _c.__setitem__(tile.tile_id, (tile, cls))
-            _, stats = traverse(frustum, cfg, pyramid, params, method, sink=sink)
+        for method_name, (_, stats, classified) in results.items():
             stats_by_method[method_name].append(stats)
-            classified_by_method[method_name] = classified
             grid_runs[method_name][frame] = {tile_id: classified[tile_id][1]
                                              for tile_id in start_ids}
-
-            pruned = [tile_id for tile_id, (tile, cls) in classified.items()
-                      if cls is Classification.OUTSIDE]
-            pruned_by_method[method_name] = pruned
-            for tile_id in (*start_ids, *pruned):
-                oracle_wanted.setdefault(tile_id, classified[tile_id][0])
+            for tile_id, (tile, cls) in classified.items():
+                if tile.level == scenario.terrain.start_level or cls is Classification.OUTSIDE:
+                    oracle_wanted.setdefault(tile_id, tile)
 
         oracle_states = {}
         for tile_id in sorted(oracle_wanted):
@@ -167,15 +165,17 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
             oracle_states[tile_id] = sample_oracle(map_fn, center, offsets,
                                                    frustum, scenario.oracle_lattice)
 
-        for method_name, pruned in pruned_by_method.items():
-            for tile_id in pruned:
-                verdict = oracle_states[tile_id]
-                if verdict is not Classification.OUTSIDE:
-                    pruned_flags.append((frame, tile_id, method_name,
-                                         verdict.value))
+        for method_name, (_, _, classified) in results.items():
+            for tile_id, (_, cls) in classified.items():
+                if cls is Classification.OUTSIDE:
+                    verdict = oracle_states[tile_id]
+                    if verdict is not Classification.OUTSIDE:
+                        pruned_flags.append((frame, tile_id, method_name, verdict.value))
         oracle_grid[frame] = {tile_id: oracle_states[tile_id] for tile_id in start_ids}
         if frame_callback is not None:
-            frame_callback(frame, frustum, classified_by_method)
+            frame_callback(frame, frustum, {name: r[2] for name, r in results.items()})
+
+    _each_frame(scenario, base_dir, check_frame, keep_classified=True)
 
     name_a, name_b = scenario.methods[0], scenario.methods[1]
     report = compare_classifications(
@@ -198,25 +198,15 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _load_with_overrides(args)
-        run_scenario(scenario, args.output, base_dir=Path(args.scenario).parent)
-    except (IngestError, ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = _load_with_overrides(args)
+    run_scenario(scenario, args.output, base_dir=Path(args.scenario).parent)
     print(f"wrote stats.csv and visible-tile files to {args.output}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    try:
-        scenario = _load_with_overrides(args)
-        report, _ = run_compare(scenario, args.output,
-                                base_dir=Path(args.scenario).parent)
-    except (IngestError, ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    scenario = _load_with_overrides(args)
+    report, _ = run_compare(scenario, args.output, base_dir=Path(args.scenario).parent)
     ratios = []
     for frame in sorted(report.frame_pairs):
         ratio = report.traversal_ratio(frame)
@@ -465,7 +455,11 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (IngestError, ScenarioError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

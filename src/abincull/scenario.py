@@ -195,6 +195,11 @@ def _parse_heightfield(obj, path) -> dict:
     _as_object(obj, path, ("path", "kind", "rows", "cols", "value", "peak_height",
                            "peak_lat", "peak_lon", "amplitude", "frequency"))
     if "path" in obj:
+        for key in obj:
+            if key != "path":
+                raise ScenarioError(f"{path}.{key}: not allowed alongside path")
+        if not isinstance(obj["path"], str) or not obj["path"]:
+            raise ScenarioError(f"{path}.path: expected a non-empty string, got {obj['path']!r}")
         return {"path": obj["path"]}
     kind = _expect(obj, "kind", path, required=True)
     if kind not in [k.value for k in SynthKind]:

@@ -17,6 +17,7 @@ from abincull import (
     sphere_point,
     tile_bin,
 )
+from abincull import cli
 from abincull.cli import main, run_compare, run_scenario
 from abincull.scenario import METHOD_NAMES, load_scenario
 
@@ -135,12 +136,20 @@ class TestParseScenario:
         (r"\$\.terrain: .*positive width", {"terrain": {"lat_range": [1.0, -1.0]}}),
         (r"\$\.terrain: .*positive width", {"terrain": {"lon_range": [0.5, 0.5]}}),
         (r"\$\.terrain: latitude range outside", {"terrain": {"lat_range": [-3.0, 1.0]}}),
+        (r"\$\.terrain\.heightfield\.path: expected a non-empty string",
+         {"terrain": {"heightfield": {"path": 5}}}),
+        (r"\$\.terrain\.heightfield\.path: expected a non-empty string",
+         {"terrain": {"heightfield": {"path": ""}}}),
+        (r"\$\.terrain\.heightfield\.amplitude: not allowed alongside path",
+         {"terrain": {"heightfield": {"path": "x.dem", "amplitude": 5}}}),
     ], ids=["lattice_below_2", "lattice_fraction", "seed", "start_level",
          "max_level", "orbit_frames", "heightfield_rows", "heightfield_cols_below_2",
          "enabled_string", "enabled_number", "terrain_typo", "terrain_altitude_range",
          "oracle_not_object", "geodetic_not_object", "pose_typo", "orbit_entry_extra",
          "camera_not_object", "top_level_typo", "max_level_above_12",
-         "inverted_lat_range", "zero_width_lon_range", "lat_range_beyond_pole"])
+         "inverted_lat_range", "zero_width_lon_range", "lat_range_beyond_pole",
+         "heightfield_path_number", "heightfield_path_empty",
+         "heightfield_path_with_synthetic_key"])
     def test_rejects_bad_field_with_path(self, path, doc):
         with pytest.raises(ScenarioError, match=path):
             parse_scenario(json.dumps(dict(MINIMAL, **doc)))
@@ -227,6 +236,16 @@ class TestCliRun:
         assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: $.terrain.heightfield: amplitude")
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_string_heightfield_path_exits_2(self, tmp_path, scenarios_dir, capsys,
+                                                 command):
+        doc = json.loads((scenarios_dir / "smoke.json").read_text())
+        doc["terrain"]["heightfield"] = {"path": 5}
+        path = tmp_path / "bad_path.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: $.terrain.heightfield.path:")
+
     def test_overrides_apply(self, tmp_path, scenarios_dir):
         sc = load_scenario(scenarios_dir / "smoke.json")
         out1 = tmp_path / "deep"
@@ -280,6 +299,65 @@ class TestCliCompare:
             assert report.traversal_ratio(frame) in (1.0, None)
         off_diagonal = [k for k in report.aggregate_pairs if k[0] != k[1]]
         assert not off_diagonal
+
+
+class TestFrameLoop:
+    @pytest.fixture
+    def repeated(self, scenarios_dir):
+        doc = json.loads((scenarios_dir / "smoke.json").read_text())
+        doc["methods"] = ["ANALYTIC_BIN_EXACT", "ANALYTIC_BIN_EXACT"]
+        return parse_scenario(json.dumps(doc))
+
+    def test_repeated_method_compares_once_per_frame(self, repeated):
+        report, stats_by_method = run_compare(repeated, None)
+        assert sorted(report.traversal_intersects["ANALYTIC_BIN_EXACT"]) == [0, 1, 2]
+        assert len(stats_by_method["ANALYTIC_BIN_EXACT"]) == 3
+
+    def test_repeated_method_runs_once_per_frame(self, repeated, tmp_path):
+        rows = run_scenario(repeated, tmp_path)
+        assert [(r["frame"], r["method"]) for r in rows] == [
+            (frame, "ANALYTIC_BIN_EXACT") for frame in range(3)]
+        assert len((tmp_path / "stats.csv").read_text().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_benchmark_call_contract(self, tmp_path, scenarios_dir, monkeypatch, command):
+        # perfbench wraps these abincull.cli globals and reads the k-th
+        # traversal as frame k // len(methods), method k % len(methods)
+        calls = []
+
+        def count(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls.append((name, args, result))
+                return result
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("build_minmax_pyramid", "frustum_from_camera", "traverse"):
+            count(name)
+        path = scenarios_dir / "smoke.json"
+        assert main([command, str(path), "-o", str(tmp_path)]) == 0
+
+        sc = load_scenario(path)
+        assert calls[0][0] == "build_minmax_pyramid"
+        assert sum(name == "build_minmax_pyramid" for name, _, _ in calls) == 1
+        traversals = []
+        frusta = []
+        for name, args, result in calls[1:]:
+            if name == "frustum_from_camera":
+                frusta.append(result)
+            elif name == "traverse":
+                frustum, cfg, _, _, method = args
+                assert frustum is frusta[-1]
+                traversals.append((len(frusta) - 1, method, cfg.cull.extrema_mode))
+        assert len(frusta) == len(sc.cameras)
+        want = []
+        for frame in range(len(sc.cameras)):
+            for name in sc.methods:
+                method, mode = METHOD_NAMES[name]
+                want.append((frame, method, mode or sc.terrain.cull.extrema_mode))
+        assert traversals == want
 
 
 class TestCompareStartGrid:
