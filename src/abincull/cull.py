@@ -15,6 +15,13 @@ offset x sits at signed distance d - s(x).  Hence
     max s < d   -> every image point outside the plane
     d < min s   -> every image point inside the plane
     otherwise   -> the image may straddle the plane
+
+The traversal's scalar path takes a 6-bit plane mask (bit k for the
+frustum's k-th plane), tests only the planes whose bit is set, and reports
+the ones the image straddles.  A child tile's bin is nested in its parent's,
+so the traversal does not test a child against a plane its parent was found
+fully inside of (plane masking; Assarsson & Moeller, JGT 2000).
+``classify_bin`` tests all six planes.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ class ExtremaMode(enum.Enum):
 
 _EXTREMA = {ExtremaMode.EXACT: _extrema_exact,
             ExtremaMode.NINE_POINT: _extrema_nine_point}
+
+# Plane masks: bit k stands for the frustum's k-th plane.  _ACTIVE_PLANES
+# lists each mask's set bits, so the per-tile loop does no bit tests.
+ALL_PLANES = 0b111111
+_ACTIVE_PLANES = tuple(tuple(k for k in range(6) if mask >> k & 1)
+                       for mask in range(ALL_PLANES + 1))
 
 
 @dataclass(frozen=True)
@@ -140,26 +153,31 @@ def classify_against_plane(q: ScalarQuadratic, d: float, bin_box: Box3,
 
 def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
                           lo0, lo1, lo2, hi0, hi1, hi2,
-                          frustum: Frustum, mode: ExtremaMode) -> Classification:
+                          frustum: Frustum, mode: ExtremaMode,
+                          planes: int) -> tuple[Classification, int]:
     """Scalar-path classification over an already-inflated offset box.
 
     value / jac / h_* are plain float rows as produced by the jet builders;
-    the box bounds are floats.  Early-exits on the first separating plane.
+    the box bounds are floats.  Only the planes whose bit is set in the
+    ``planes`` mask (bit k for ``frustum.plane_scalars[k]``) are tested.
+    Returns the verdict and the mask of tested planes the image straddles;
+    early-exits with mask 0 on the first separating plane.
     """
     extrema = _EXTREMA[mode]
-    inside_count = 0
-    for b0, b1, b2, h00, h01, h02, h11, h12, h22, d in _plane_terms(
-            value, jac, h_x, h_y, h_z, frustum.plane_scalars):
+    active = _ACTIVE_PLANES[planes]
+    straddled = 0
+    for k, (b0, b1, b2, h00, h01, h02, h11, h12, h22, d) in zip(active, _plane_terms(
+            value, jac, h_x, h_y, h_z, map(frustum.plane_scalars.__getitem__, active))):
         mn, mx, _, _ = extrema(0.0, b0, b1, b2,
                                h00, h01, h02, h11, h12, h22,
                                lo0, lo1, lo2, hi0, hi1, hi2)
         if mx < d:
-            return Classification.OUTSIDE
-        if d < mn:
-            inside_count += 1
-    if inside_count == 6:
-        return Classification.INSIDE
-    return Classification.INTERSECT
+            return Classification.OUTSIDE, 0
+        if not d < mn:  # a NaN bound counts as straddling
+            straddled |= 1 << k
+    if straddled:
+        return Classification.INTERSECT, straddled
+    return Classification.INSIDE, 0
 
 
 def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,
@@ -172,6 +190,8 @@ def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,
     bin immediately, and only a bin fully inside all six planes is INSIDE.
     """
     inflated = inflate_bin(bin_offsets, cfg.inflation)
-    return _classify_bin_scalars(
+    cls, _ = _classify_bin_scalars(
         jet.value.tolist(), jet.jacobian.tolist(), *jet.hessians.tolist(),
-        *inflated.lo.tolist(), *inflated.hi.tolist(), frustum, cfg.extrema_mode)
+        *inflated.lo.tolist(), *inflated.hi.tolist(), frustum, cfg.extrema_mode,
+        ALL_PLANES)
+    return cls

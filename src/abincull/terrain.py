@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import classify_aabb8, world_aabb_of_bin
-from .cull import Classification, CullConfig, _classify_bin_scalars
+from .cull import ALL_PLANES, Classification, CullConfig, _classify_bin_scalars
 from .frustum import Frustum
 from .mapping import GeodeticParams, _sphere_jet_rows, sphere_point
 from .quadratic import Box3
@@ -483,8 +483,17 @@ def write_heightfield(hf: HeightField, path) -> None:
 
 
 def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
-                  method: Method, cull: CullConfig) -> Classification:
-    """Classify one tile with the chosen method."""
+                  method: Method, cull: CullConfig, *, planes: int | None = None
+                  ) -> Classification | tuple[Classification, int]:
+    """Classify one tile with the chosen method.
+
+    Without ``planes`` the result is the tile's ``Classification``.  With a
+    plane mask (bit k for ``frustum.planes[k]``) the result is
+    ``(classification, straddled)``: the analytic test runs only the planes
+    whose bit is set and reports which of them the image straddles.  AABB8
+    ignores the mask and reports all six planes, because the corner hull of a
+    child tile is not nested in its parent's.
+    """
     if method is Method.ANALYTIC_BIN:
         h_lo, h_hi = tile.height_range
         lat_lo, lat_hi = tile.lat_range
@@ -496,12 +505,15 @@ def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
         value, jac, h_x, h_y, h_z = _sphere_jet_rows(
             params.radius_m + 0.5 * (h_lo + h_hi),
             0.5 * (lat_lo + lat_hi), 0.5 * (lon_lo + lon_hi))
-        return _classify_bin_scalars(value, jac, h_x, h_y, h_z,
-                                     -hw0, -hw1, -hw2, hw0, hw1, hw2,
-                                     frustum, cull.extrema_mode)
-    center, offsets = tile_bin(tile, params)
-    box = world_aabb_of_bin(lambda pts: sphere_point(params, pts), center, offsets)
-    return classify_aabb8(box, frustum)
+        result = _classify_bin_scalars(value, jac, h_x, h_y, h_z,
+                                       -hw0, -hw1, -hw2, hw0, hw1, hw2,
+                                       frustum, cull.extrema_mode,
+                                       ALL_PLANES if planes is None else planes)
+    else:
+        center, offsets = tile_bin(tile, params)
+        box = world_aabb_of_bin(lambda pts: sphere_point(params, pts), center, offsets)
+        result = classify_aabb8(box, frustum), ALL_PLANES
+    return result[0] if planes is None else result
 
 
 def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
@@ -513,6 +525,12 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     their subtree; straddling tiles recurse until max_level, where they are
     emitted as visible leaves.  ``sink(tile, classification)``, when given,
     observes every classified tile.
+
+    Each stacked tile carries a plane mask (Assarsson & Moeller's plane
+    masking): start-grid tiles test all six planes, and the children of an
+    INTERSECT tile test only the planes it straddled, since a child's
+    parameter bin lies inside its parent's.  The analytic test skips the
+    other planes; AABB8 always tests all six.
     """
     if pyramid.max_level < cfg.max_level:
         raise ValueError("pyramid is shallower than cfg.max_level")
@@ -523,11 +541,12 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     visible: list[GeoTile] = []
 
     n_lat, n_lon = _grid_shape(cfg.start_level)
-    stack = deque(pyramid.tile(cfg.start_level, i, j)
+    stack = deque((pyramid.tile(cfg.start_level, i, j), ALL_PLANES)
                   for i in reversed(range(n_lat)) for j in reversed(range(n_lon)))
     while stack:
-        tile = stack.pop()
-        cls = classify_tile(tile, frustum, params, method, cfg.cull)
+        tile, planes = stack.pop()
+        cls, straddled = classify_tile(tile, frustum, params, method, cfg.cull,
+                                       planes=planes)
         stats.visited += 1
         stats.max_depth_reached = max(stats.max_depth_reached, tile.level)
         if sink is not None:
@@ -542,7 +561,7 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
             stats.intersect += 1
             if tile.level < cfg.max_level:
                 for child in reversed(subdivide(tile, pyramid)):
-                    stack.append(child)
+                    stack.append((child, straddled))
             else:
                 stats.leaves_rendered += 1
                 visible.append(tile)

@@ -17,7 +17,7 @@ from abincull import (
     sphere_point,
     tile_bin,
 )
-from abincull import cli
+from abincull import cli, terrain
 from abincull.cli import main, run_compare, run_scenario
 from abincull.scenario import METHOD_NAMES, load_scenario
 
@@ -358,6 +358,24 @@ class TestFrameLoop:
                 method, mode = METHOD_NAMES[name]
                 want.append((frame, method, mode or sc.terrain.cull.extrema_mode))
         assert traversals == want
+
+    def test_classify_tile_probe_contract(self, tmp_path, scenarios_dir, monkeypatch):
+        # perfbench times each abincull.terrain.classify_tile call as one
+        # tile's classification and replays sampled calls by unpacking five
+        # positional arguments
+        calls = []
+        real = terrain.classify_tile
+
+        def wrapper(*args, **kwargs):
+            calls.append(len(args))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(terrain, "classify_tile", wrapper)
+        sc = load_scenario(scenarios_dir / "smoke.json")
+        for name in sc.methods:
+            calls.clear()
+            rows = run_scenario(dataclasses.replace(sc, methods=(name,)), tmp_path)
+            assert len(calls) == sum(row["visited"] for row in rows) > 0, name
+            assert set(calls) == {5}, name
 
 
 class TestCompareStartGrid:

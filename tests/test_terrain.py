@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from pathlib import Path
@@ -30,6 +31,7 @@ from abincull import (
     traverse,
     write_heightfield,
 )
+from abincull.cli import _orbit_pose
 from abincull.scenario import load_scenario
 from abincull.terrain import _edges, _grid_shape
 
@@ -659,3 +661,116 @@ class TestPoleAndSeamTiles:
                 assert oracle is Classification.OUTSIDE, (tile.tile_id, mode)
         # the poses come close enough to the edge for prunes to be tested
         assert min(prunes.values()) >= 40, prunes
+
+    @pytest.mark.parametrize("edge", ["pole", "seam"])
+    def test_plane_mask_contract(self, rng, edge):
+        separated_by_one = 0
+        for _ in range(200):
+            tile, frustum = self.edge_tile_and_pose(rng, edge)
+            for mode in ExtremaMode:
+                cull = CullConfig(1.1, mode)
+                plain = classify_tile(tile, frustum, PARAMS, Method.ANALYTIC_BIN, cull)
+                cls, straddled = classify_tile(tile, frustum, PARAMS, Method.ANALYTIC_BIN,
+                                               cull, planes=0b111111)
+                assert cls is plain, (tile.tile_id, mode)
+                assert (straddled != 0) == (plain is Classification.INTERSECT)
+                assert classify_tile(tile, frustum, PARAMS, Method.ANALYTIC_BIN, cull,
+                                     planes=0) == (Classification.INSIDE, 0)
+                separating = [k for k in range(6) if classify_tile(
+                    tile, frustum, PARAMS, Method.ANALYTIC_BIN, cull,
+                    planes=1 << k)[0] is Classification.OUTSIDE]
+                assert bool(separating) == (plain is Classification.OUTSIDE)
+                if len(separating) == 1:
+                    separated_by_one += 1
+                    cls, _ = classify_tile(tile, frustum, PARAMS, Method.ANALYTIC_BIN,
+                                           cull, planes=0b111111 & ~(1 << separating[0]))
+                    assert cls is not Classification.OUTSIDE, (tile.tile_id, mode)
+            plain = classify_tile(tile, frustum, PARAMS, Method.AABB8, CullConfig())
+            for mask in (0, 1 << int(rng.integers(6)), 0b111111):
+                assert classify_tile(tile, frustum, PARAMS, Method.AABB8, CullConfig(),
+                                     planes=mask) == (plain, 0b111111)
+        assert separated_by_one >= 40, separated_by_one
+
+
+class TestPlaneMask:
+    """Traversal with per-tile plane masks against plain classify_tile."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        root = Path(__file__).resolve().parents[1] / "scenarios"
+        scenes = {}
+        for name in ("orbit_sinusoidal", "peak_orbit"):
+            sc = load_scenario(root / f"{name}.json")
+            scenes[name] = sc, build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        return scenes
+
+    @staticmethod
+    def reference(frustum, cfg, pyramid, params, method):
+        """Depth-first traversal with the plain five-argument classify_tile:
+        every tile's verdict and the visible tiles."""
+        verdicts, visible = {}, []
+        stack = [pyramid.tile(t.level, t.i, t.j) for t in root_tiles(cfg)]
+        while stack:
+            tile = stack.pop()
+            cls = classify_tile(tile, frustum, params, method, cfg.cull)
+            verdicts[tile.tile_id] = cls
+            if cls is Classification.INTERSECT and tile.level < cfg.max_level:
+                stack.extend(subdivide(tile, pyramid))
+            elif cls is not Classification.OUTSIDE:
+                visible.append(tile)
+        return verdicts, visible
+
+    @staticmethod
+    def leaf_cells(tiles, max_level):
+        cells = set()
+        for t in tiles:
+            shift = max_level - t.level
+            cells |= {((t.i << shift) + a, (t.j << shift) + b)
+                      for a in range(1 << shift) for b in range(1 << shift)}
+        return cells
+
+    def frusta(self, scenes):
+        orbit, _ = scenes["orbit_sinusoidal"]
+        peak, _ = scenes["peak_orbit"]
+        for frame in (0, 33, 97):
+            yield "orbit_sinusoidal", frustum_from_camera(orbit.cameras[frame])
+        for frame in (3, len(peak.cameras) - 1):
+            yield "peak_orbit", frustum_from_camera(peak.cameras[frame])
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            yield "orbit_sinusoidal", frustum_from_camera(_orbit_pose(rng, PARAMS))
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_masked_traversal_matches_unmasked(self, scenes, mode):
+        seen = 0
+        for name, frustum in self.frusta(scenes):
+            sc, pyramid = scenes[name]
+            cfg = dataclasses.replace(
+                sc.terrain, cull=dataclasses.replace(sc.terrain.cull, extrema_mode=mode))
+            verdicts = {}
+            visible, _ = traverse(frustum, cfg, pyramid, sc.geodetic, Method.ANALYTIC_BIN,
+                                  sink=lambda t, c: verdicts.__setitem__(t.tile_id, c))
+            want, want_visible = self.reference(frustum, cfg, pyramid, sc.geodetic,
+                                                Method.ANALYTIC_BIN)
+            assert verdicts == want, name
+            # masking only skips plane tests: it can turn INTERSECT into
+            # INSIDE but never adds an OUTSIDE, so no leaf cell is lost
+            assert (self.leaf_cells(visible, cfg.max_level)
+                    >= self.leaf_cells(want_visible, cfg.max_level))
+            seen += len(verdicts)
+        assert seen > 10_000
+
+    def test_full_mask_gives_plain_verdict(self, scenes):
+        sc, pyramid = scenes["orbit_sinusoidal"]
+        frustum = frustum_from_camera(sc.cameras[33])
+        tiles = []
+        traverse(frustum, sc.terrain, pyramid, PARAMS, Method.ANALYTIC_BIN,
+                 sink=lambda t, c: tiles.append(t))
+        for method in Method:
+            for mode in ExtremaMode:
+                cull = CullConfig(1.1, mode)
+                for tile in tiles:
+                    plain = classify_tile(tile, frustum, PARAMS, method, cull)
+                    cls, _ = classify_tile(tile, frustum, PARAMS, method, cull,
+                                           planes=0b111111)
+                    assert cls is plain, (method, mode, tile.tile_id)
