@@ -1,14 +1,15 @@
 """Scalar quadratics in three variables and their extrema over axis-aligned boxes.
 
 A quadratic is stored as ``value(x) = constant + linear.x + 0.5 * x^T @ hessian @ x``
-with a symmetric hessian.  Three extrema routines are provided:
+with a symmetric hessian.  The two box kernels enumerate candidate points face
+by face and hand them to one loop, ``_keep_extremes``, that keeps the extremes
+and the candidates attaining them.  Three extrema routines are provided:
 
 * ``box_extrema_nine_point`` -- the cheap heuristic: the 8 box corners plus the
   unconstrained stationary point when it falls inside the box.  Not exact for
   indefinite quadratics whose extrema sit on box facets or edges.
-* ``box_extrema_exact`` -- exact extrema by enumerating all 27 faces of the box
-  (interior, 6 facets, 12 edges, 8 corners) and solving the reduced stationary
-  system on each face.
+* ``box_extrema_exact`` -- exact extrema over all 27 faces of the box (8 corners,
+  12 edges, 6 facets, interior), one stationary candidate per face.
 * ``box_extrema_grid`` -- brute-force lattice evaluation, used as an oracle.
 """
 
@@ -65,9 +66,7 @@ class ScalarQuadratic:
     def value(self, x) -> float | np.ndarray:
         """Evaluate at a point (3,) or a batch (..., 3)."""
         x = np.asarray(x, dtype=float)
-        lin = x @ self.linear
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.hessian, x)
-        out = self.constant + lin + quad
+        out = _eval_f(*_unpack(self), x[..., 0], x[..., 1], x[..., 2])
         return float(out) if x.ndim == 1 else out
 
     def gradient(self, x) -> np.ndarray:
@@ -155,9 +154,7 @@ def stationary_point(q: ScalarQuadratic, tol: float = SINGULAR_TOL):
         raise ValueError("tol must be positive")
     _, b0, b1, b2, h00, h01, h02, h11, h12, h22 = _unpack(q)
     sol = _solve3(h00, h01, h02, h11, h12, h22, -b0, -b1, -b2, tol)
-    if sol is None:
-        return None
-    return np.array(sol)
+    return None if sol is None else np.array(sol)
 
 
 def _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z):
@@ -172,50 +169,52 @@ def _unpack(q: ScalarQuadratic):
     return (q.constant, *q.linear.tolist(), h00, h01, h02, h11, h12, h22)
 
 
+def _keep_extremes(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, points,
+                   best_min, best_max, amn, amx):
+    """Fold points in order into (min, max, argmin, argmax); ties keep the earliest."""
+    for p in points:
+        x, y, z = p
+        v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
+        if v < best_min:
+            best_min, amn = v, p
+        if v > best_max:
+            best_max, amx = v, p
+    return best_min, best_max, amn, amx
+
+
 def _extrema_nine_point(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
                         lo0, lo1, lo2, hi0, hi1, hi2):
-    best_min = math.inf
-    best_max = -math.inf
-    arg_min = arg_max = (lo0, lo1, lo2)
-    for x in (lo0, hi0):
-        for y in (lo1, hi1):
-            for z in (lo2, hi2):
-                v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                if v < best_min:
-                    best_min, arg_min = v, (x, y, z)
-                if v > best_max:
-                    best_max, arg_max = v, (x, y, z)
+    """The 8 corners, then the stationary point when it lies in the box."""
+    points = [(lo0, lo1, lo2), (lo0, lo1, hi2), (lo0, hi1, lo2), (lo0, hi1, hi2),
+              (hi0, lo1, lo2), (hi0, lo1, hi2), (hi0, hi1, lo2), (hi0, hi1, hi2)]
     sol = _solve3(h00, h01, h02, h11, h12, h22, -b0, -b1, -b2, SINGULAR_TOL)
-    if sol is not None:
-        x, y, z = sol
-        if lo0 <= x <= hi0 and lo1 <= y <= hi1 and lo2 <= z <= hi2:
-            v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-            if v < best_min:
-                best_min, arg_min = v, (x, y, z)
-            if v > best_max:
-                best_max, arg_max = v, (x, y, z)
-    return best_min, best_max, arg_min, arg_max
+    if (sol is not None and lo0 <= sol[0] <= hi0
+            and lo1 <= sol[1] <= hi1 and lo2 <= sol[2] <= hi2):
+        points.append(sol)
+    return _keep_extremes(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
+                          points, math.inf, -math.inf, points[0], points[0])
 
 
 def _extrema_exact(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
                    lo0, lo1, lo2, hi0, hi1, hi2):
     """Exact box extrema: stationary candidates on all 27 faces, unrolled.
 
-    Faces with a singular reduced system are skipped: their extrema fall on
-    sub-faces which are enumerated anyway.  Hot path, plain floats only.
+    The 8 corners are evaluated inline from hoisted partial sums.  Each edge,
+    facet and interior solve checks its stationary point against the closed
+    face, clamps it and appends it; ``_keep_extremes`` then evaluates the
+    candidates in that order.  Faces with a singular reduced system are
+    skipped: their extrema fall on sub-faces, which are enumerated anyway.
+    Hot path, plain floats only.
     """
     # per-axis slack for accepting stationary candidates on the closed face
     t0 = 1e-12 * max(1.0, abs(lo0), abs(hi0))
     t1 = 1e-12 * max(1.0, abs(lo1), abs(hi1))
     t2 = 1e-12 * max(1.0, abs(lo2), abs(hi2))
-    hmax = max(abs(h00), abs(h01), abs(h02), abs(h11), abs(h12), abs(h22))
-    htol = SINGULAR_TOL * hmax
+    htol = SINGULAR_TOL * max(abs(h00), abs(h01), abs(h02), abs(h11), abs(h12), abs(h22))
 
-    best_min = math.inf
-    best_max = -math.inf
+    best_min, best_max = math.inf, -math.inf
     amn = amx = (lo0, lo1, lo2)
-
-    # 8 corners
+    # 8 corners, from hoisted partial sums
     for x in (lo0, hi0):
         bx = c0 + b0 * x + 0.5 * h00 * x * x
         for y in (lo1, hi1):
@@ -228,87 +227,49 @@ def _extrema_exact(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
                 if v > best_max:
                     best_max, amx = v, (x, y, z)
 
-    # 12 edges: one axis free, the other two clamped
+    points = []
+    # 12 edges: one axis free, the other two at a bound
     if h00 != 0.0 and abs(h00) > htol:
         for y in (lo1, hi1):
             for z in (lo2, hi2):
                 x = -(b0 + h01 * y + h02 * z) / h00
                 if lo0 - t0 <= x <= hi0 + t0:
-                    x = min(max(x, lo0), hi0)
-                    v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                    if v < best_min:
-                        best_min, amn = v, (x, y, z)
-                    if v > best_max:
-                        best_max, amx = v, (x, y, z)
+                    points.append((min(max(x, lo0), hi0), y, z))
     if h11 != 0.0 and abs(h11) > htol:
         for x in (lo0, hi0):
             for z in (lo2, hi2):
                 y = -(b1 + h01 * x + h12 * z) / h11
                 if lo1 - t1 <= y <= hi1 + t1:
-                    y = min(max(y, lo1), hi1)
-                    v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                    if v < best_min:
-                        best_min, amn = v, (x, y, z)
-                    if v > best_max:
-                        best_max, amx = v, (x, y, z)
+                    points.append((x, min(max(y, lo1), hi1), z))
     if h22 != 0.0 and abs(h22) > htol:
         for x in (lo0, hi0):
             for y in (lo1, hi1):
                 z = -(b2 + h02 * x + h12 * y) / h22
                 if lo2 - t2 <= z <= hi2 + t2:
-                    z = min(max(z, lo2), hi2)
-                    v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                    if v < best_min:
-                        best_min, amn = v, (x, y, z)
-                    if v > best_max:
-                        best_max, amx = v, (x, y, z)
+                    points.append((x, y, min(max(z, lo2), hi2)))
 
-    # 6 facets: one axis clamped, a 2x2 stationary solve on the rest
+    # 6 facets: one axis at a bound, a 2x2 stationary solve on the rest
     det12 = h11 * h22 - h12 * h12
     if det12 != 0.0 and abs(det12) > htol * htol:
         for x in (lo0, hi0):
-            r1 = -(b1 + h01 * x)
-            r2 = -(b2 + h02 * x)
-            y = (r1 * h22 - h12 * r2) / det12
-            z = (h11 * r2 - r1 * h12) / det12
+            r1, r2 = -(b1 + h01 * x), -(b2 + h02 * x)
+            y, z = (r1 * h22 - h12 * r2) / det12, (h11 * r2 - r1 * h12) / det12
             if lo1 - t1 <= y <= hi1 + t1 and lo2 - t2 <= z <= hi2 + t2:
-                y = min(max(y, lo1), hi1)
-                z = min(max(z, lo2), hi2)
-                v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                if v < best_min:
-                    best_min, amn = v, (x, y, z)
-                if v > best_max:
-                    best_max, amx = v, (x, y, z)
+                points.append((x, min(max(y, lo1), hi1), min(max(z, lo2), hi2)))
     det02 = h00 * h22 - h02 * h02
     if det02 != 0.0 and abs(det02) > htol * htol:
         for y in (lo1, hi1):
-            r0 = -(b0 + h01 * y)
-            r2 = -(b2 + h12 * y)
-            x = (r0 * h22 - h02 * r2) / det02
-            z = (h00 * r2 - r0 * h02) / det02
+            r0, r2 = -(b0 + h01 * y), -(b2 + h12 * y)
+            x, z = (r0 * h22 - h02 * r2) / det02, (h00 * r2 - r0 * h02) / det02
             if lo0 - t0 <= x <= hi0 + t0 and lo2 - t2 <= z <= hi2 + t2:
-                x = min(max(x, lo0), hi0)
-                z = min(max(z, lo2), hi2)
-                v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                if v < best_min:
-                    best_min, amn = v, (x, y, z)
-                if v > best_max:
-                    best_max, amx = v, (x, y, z)
+                points.append((min(max(x, lo0), hi0), y, min(max(z, lo2), hi2)))
     det01 = h00 * h11 - h01 * h01
     if det01 != 0.0 and abs(det01) > htol * htol:
         for z in (lo2, hi2):
-            r0 = -(b0 + h02 * z)
-            r1 = -(b1 + h12 * z)
-            x = (r0 * h11 - h01 * r1) / det01
-            y = (h00 * r1 - r0 * h01) / det01
+            r0, r1 = -(b0 + h02 * z), -(b1 + h12 * z)
+            x, y = (r0 * h11 - h01 * r1) / det01, (h00 * r1 - r0 * h01) / det01
             if lo0 - t0 <= x <= hi0 + t0 and lo1 - t1 <= y <= hi1 + t1:
-                x = min(max(x, lo0), hi0)
-                y = min(max(y, lo1), hi1)
-                v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-                if v < best_min:
-                    best_min, amn = v, (x, y, z)
-                if v > best_max:
-                    best_max, amx = v, (x, y, z)
+                points.append((min(max(x, lo0), hi0), min(max(y, lo1), hi1), z))
 
     # interior stationary point
     sol = _solve3(h00, h01, h02, h11, h12, h22, -b0, -b1, -b2, SINGULAR_TOL)
@@ -316,16 +277,17 @@ def _extrema_exact(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
         x, y, z = sol
         if (lo0 - t0 <= x <= hi0 + t0 and lo1 - t1 <= y <= hi1 + t1
                 and lo2 - t2 <= z <= hi2 + t2):
-            x = min(max(x, lo0), hi0)
-            y = min(max(y, lo1), hi1)
-            z = min(max(z, lo2), hi2)
-            v = _eval_f(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22, x, y, z)
-            if v < best_min:
-                best_min, amn = v, (x, y, z)
-            if v > best_max:
-                best_max, amx = v, (x, y, z)
+            points.append((min(max(x, lo0), hi0), min(max(y, lo1), hi1),
+                           min(max(z, lo2), hi2)))
+    if not points:  # most calls: no face has its stationary point on it
+        return best_min, best_max, amn, amx
+    return _keep_extremes(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
+                          points, best_min, best_max, amn, amx)
 
-    return best_min, best_max, amn, amx
+
+def _box_extrema(kernel, q: ScalarQuadratic, box: Box3) -> Extrema:
+    mn, mx, amn, amx = kernel(*_unpack(q), *box.lo.tolist(), *box.hi.tolist())
+    return Extrema(mn, mx, np.array(amn), np.array(amx))
 
 
 def box_extrema_nine_point(q: ScalarQuadratic, box: Box3) -> Extrema:
@@ -335,14 +297,12 @@ def box_extrema_nine_point(q: ScalarQuadratic, box: Box3) -> Extrema:
     is always bracketed by the exact one; facet and edge extrema of
     indefinite quadratics can be missed.
     """
-    res = _extrema_nine_point(*_unpack(q), *box.lo.tolist(), *box.hi.tolist())
-    return Extrema(res[0], res[1], np.array(res[2]), np.array(res[3]))
+    return _box_extrema(_extrema_nine_point, q, box)
 
 
 def box_extrema_exact(q: ScalarQuadratic, box: Box3) -> Extrema:
     """Exact extrema over the box by stationary-point enumeration per face."""
-    res = _extrema_exact(*_unpack(q), *box.lo.tolist(), *box.hi.tolist())
-    return Extrema(res[0], res[1], np.array(res[2]), np.array(res[3]))
+    return _box_extrema(_extrema_exact, q, box)
 
 
 def box_extrema_grid(q: ScalarQuadratic, box: Box3, n: int) -> Extrema:

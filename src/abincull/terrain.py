@@ -405,10 +405,12 @@ def _parse_header_text(text: str, source: str) -> dict:
         if parsed[key] < 1 or not parsed[key].is_integer():
             raise invalid(key, "is not a positive integer")
         parsed[key] = int(parsed[key])
-    # a one-sample axis has spacing 0 (write_heightfield writes that)
-    for key in ("xdim", "ydim"):
+    # only a one-sample axis may have spacing 0 (write_heightfield writes that)
+    for key, count in (("xdim", "ncols"), ("ydim", "nrows")):
         if parsed[key] < 0:
             raise invalid(key, "is negative")
+        if parsed[key] == 0 and parsed[count] > 1:
+            raise invalid(key, f"is zero with {count} = {parsed[count]}")
     return parsed
 
 

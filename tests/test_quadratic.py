@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from abincull import (
     stationary_point,
 )
 from abincull.cli import random_box, random_quadratic
+from abincull.quadratic import _extrema_exact, _extrema_nine_point
 
 I3 = np.eye(3)
 Z3 = np.zeros((3, 3))
@@ -279,3 +282,103 @@ def test_bracketing_property(c0, b, diag, off, center, half):
     assert nine.max_val <= exact.max_val + 1e-9 * span
     assert exact.min_val - 1e-9 * span <= grid.min_val
     assert grid.max_val <= exact.max_val + 1e-9 * span
+
+
+def _golden_inputs(seed: int = 15, per_kind: int = 850) -> list[tuple]:
+    """Kernel argument tuples (c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
+    lo0, lo1, lo2, hi0, hi1, hi2), six kinds of ``per_kind`` each.
+
+    Built from ``random.Random(seed).uniform`` and float arithmetic only
+    (no libm calls), so every IEEE-754 host builds the same inputs.
+    """
+    u = random.Random(seed).uniform
+    decades = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
+
+    def signed_magnitude():  # |value| spans 1e-3 .. 1e7
+        value = u(1.0, 10.0) * decades[int(u(0.0, 10.0))]
+        return value if u(-1.0, 1.0) >= 0.0 else -value
+
+    def general(scale=5.0):
+        return [u(-scale, scale) for _ in range(10)]
+
+    def box(half):
+        center = [u(-3.0, 3.0) for _ in range(3)]
+        return ([c - w for c, w in zip(center, half)]
+                + [c + w for c, w in zip(center, half)])
+
+    def definite():  # +-(m m^T) for a random 3x3 m, mostly full rank
+        m = [[u(-2.0, 2.0) for _ in range(3)] for _ in range(3)]
+        sign = 1.0 if u(-1.0, 1.0) >= 0.0 else -1.0
+        return [sign * sum(m[i][k] * m[j][k] for k in range(3))
+                for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+
+    inputs = []
+    for _ in range(per_kind):
+        # general position
+        inputs.append((*general(), *box([u(0.0, 2.0) for _ in range(3)])))
+        # stationary point s in the box, on its lo or hi face per axis with
+        # probability 2/3, with a definite hessian in half the cases: the
+        # interior and facet candidates win, and face solves land on the
+        # box's boundary, where their in-box tests and clamps decide
+        c = general()
+        if u(0.0, 1.0) < 0.5:
+            c[4:] = definite()
+        h00, h01, h02, h11, h12, h22 = c[4:]
+        s = [u(-2.0, 2.0) for _ in range(3)]
+        c[1:4] = [-(h00 * s[0] + h01 * s[1] + h02 * s[2]),
+                  -(h01 * s[0] + h11 * s[1] + h12 * s[2]),
+                  -(h02 * s[0] + h12 * s[1] + h22 * s[2])]
+        lo, hi = [x - u(0.0, 3.0) for x in s], [x + u(0.0, 3.0) for x in s]
+        for k in range(3):
+            side = u(0.0, 3.0)
+            if side < 1.0:
+                lo[k] = s[k]
+            elif side < 2.0:
+                hi[k] = s[k]
+        inputs.append((*c, *lo, *hi))
+        # degenerate widths: each axis pinned with probability 1/2
+        inputs.append((*general(), *box([u(0.0, 2.0) if u(0.0, 1.0) < 0.5 else 0.0
+                                         for _ in range(3)])))
+        # zero hessian rows, all three (a linear function) in 1/8 of cases
+        c = general()
+        for entries in ((4, 5, 6), (5, 7, 8), (6, 8, 9)):
+            if u(0.0, 1.0) < 0.5:
+                for e in entries:
+                    c[e] = 0.0
+        inputs.append((*c, *box([u(0.0, 2.0) for _ in range(3)])))
+        # singular hessians s1 a a^T + s2 v v^T (rank 1 when s2 = 0); integer
+        # vectors make the reduced determinants exactly zero
+        whole = u(0.0, 1.0) < 0.5
+        a, v = ([float(int(u(-3.0, 3.0))) if whole else u(-2.0, 2.0) for _ in range(3)]
+                for _ in range(2))
+        s1, s2 = u(-2.0, 2.0), (u(-2.0, 2.0) if u(0.0, 1.0) < 0.5 else 0.0)
+        hess = [s1 * a[i] * a[j] + s2 * v[i] * v[j]
+                for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+        inputs.append((*general()[:4], *hess, *box([u(0.0, 2.0) for _ in range(3)])))
+        # geodetic scale: centered radius x lat x lon offsets, flat in 1/5
+        half = [u(0.0, 4500.0) if u(0.0, 1.0) < 0.8 else 0.0,
+                u(0.0, 0.05), u(0.0, 0.05)]
+        inputs.append((0.0, *(signed_magnitude() for _ in range(9)),
+                       *(-w for w in half), *half))
+    return inputs
+
+
+# sha256 over float.hex of every (min, max, argmin, argmax) on _golden_inputs(),
+# recorded from the kernels before their candidates shared one loop: a change
+# to a kernel's arithmetic, tolerances or candidate order changes a digest
+GOLDEN_SHA256 = {
+    "exact": "6550adb742139fe619a07c22d44becc8f31010c8301a18d4c15077dba532d429",
+    "nine_point": "0097cc5625012b1974dbacd1ba1fd0a349a819f7e78dde448953d0ef536d2553",
+}
+
+
+@pytest.mark.parametrize("kernel", ["exact", "nine_point"])
+def test_kernel_bits_match_golden(kernel):
+    fn = {"exact": _extrema_exact, "nine_point": _extrema_nine_point}[kernel]
+    inputs = _golden_inputs()
+    assert len(inputs) == 5100
+    digest = hashlib.sha256()
+    for args in inputs:
+        mn, mx, amn, amx = fn(*args)
+        digest.update(" ".join(map(float.hex, (mn, mx, *amn, *amx))).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_SHA256[kernel]

@@ -20,6 +20,7 @@ from abincull import (
 from abincull import cli, terrain
 from abincull.cli import main, run_compare, run_scenario
 from abincull.scenario import METHOD_NAMES, load_scenario
+from conftest import repo_root
 
 MINIMAL = {
     "name": "minimal",
@@ -376,6 +377,38 @@ class TestFrameLoop:
             rows = run_scenario(dataclasses.replace(sc, methods=(name,)), tmp_path)
             assert len(calls) == sum(row["visited"] for row in rows) > 0, name
             assert set(calls) == {5}, name
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_trace_targets_probe_contract(self, tmp_path, scenarios_dir, monkeypatch,
+                                          command):
+        # a traced benchmark run wraps every name in perfbench's TRACE_TARGETS,
+        # reads the spans of its command and replays sampled classify_tile
+        # calls through tile_bin, plane_quadratic and box_extrema_*
+        monkeypatch.syspath_prepend(str(repo_root()))
+        from perfbench import harness, tracing
+        from perfbench.workloads import WORKLOADS
+
+        workload = WORKLOADS["orbit-compare" if command == "compare" else "orbit-run"]
+        recorder = harness.Recorder(tracing.SpanLog(), workload, 1)
+        recorder.enable_layers()
+        with tracing.patched(recorder.log, harness.TRACE_TARGETS) as missing:
+            assert main([command, str(scenarios_dir / "smoke.json"), "-o", str(tmp_path)]) == 0
+        # cli.start_grid still names abincull.cli.classify_tile, which cli
+        # has not imported since the start grid moved into the traversal
+        assert set(missing) == {"abincull.cli.classify_tile"}
+        other_command = {
+            "run": {"cli.compare", "baseline.oracle", "baseline.compare",
+                    "baseline.to_json", "baseline.to_csv"},
+            "compare": {"cli.run"},
+        }[command]
+        table = recorder.log.table()
+        uncalled = [t.span for t in harness.TRACE_TARGETS
+                    if t.span not in other_command | {"cli.start_grid"}
+                    and table.count(t.span) == 0]
+        assert uncalled == []
+        kernels = harness.replay(recorder.samples)
+        assert len(kernels) == 3
+        assert all(math.isfinite(v) for v in kernels.values()), kernels
 
 
 class TestCompareStartGrid:

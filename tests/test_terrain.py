@@ -372,7 +372,7 @@ class TestHeightFieldIO:
     @pytest.mark.parametrize("field, value", [
         ("nrows", "nan"), ("nrows", "3.5"), ("ncols", "inf"), ("xdim", "nan"),
         ("xdim", "-0.5"), ("ydim", "-0.5"), ("ulymap", "inf"),
-        ("nodata", "nan"), ("nodata", "none")])
+        ("nodata", "nan"), ("nodata", "none"), ("xdim", "0"), ("ydim", "0")])
     def test_bad_header_value_rejected(self, tmp_path, field, value):
         header = {"nrows": "3", "ncols": "5", "ulxmap": "10", "ulymap": "50",
                   "xdim": "0.5", "ydim": "0.5", "nodata": "-9999", field: value}
