@@ -129,10 +129,13 @@ class HeightField:
             r, c = np.argwhere(~finite)[0]
             raise ValueError(f"sample at row {r}, column {c} is not finite: {s[r, c]}")
         # the pyramid's sorted search needs ascending sample coordinates
-        for name in ("lat_range", "lon_range"):
+        for name, count in (("lat_range", s.shape[0]), ("lon_range", s.shape[1])):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"{name} must be finite with lo <= hi, got {(lo, hi)}")
+            # the file header stores a spacing, which must be nonzero here
+            if lo == hi and count > 1:
+                raise ValueError(f"{name} has zero width over {count} samples: {(lo, hi)}")
         object.__setattr__(self, "samples", s)
 
     @property

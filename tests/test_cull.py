@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,20 +11,31 @@ from abincull import (
     CullConfig,
     ExtremaMode,
     GeodeticParams,
+    Method,
     Plane,
     PlaneState,
     ScalarQuadratic,
+    TerrainConfig,
+    box_extrema_exact,
+    box_extrema_grid,
+    build_minmax_pyramid,
     classify_aabb8,
     classify_against_plane,
     classify_bin,
+    classify_tile,
     frustum_from_camera,
     identity_jet,
     inflate_bin,
+    load_scenario,
     plane_quadratic,
     sphere_jet,
+    subdivide,
+    synth_heightfield,
 )
-from abincull.cli import _orbit_pose, random_pose
+from abincull.cli import _orbit_pose, random_pose, random_quadratic
+from abincull.cull import _EXTREMA, ALL_PLANES, _classify_bin_scalars
 from abincull.mapping import _sphere_jet_rows
+from abincull.terrain import _grid_shape
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -219,3 +232,153 @@ class TestClassifyBin:
             if loose is Classification.INSIDE:
                 assert tight is Classification.INSIDE
 
+
+def _kernel_only(tile, frustum, params, cull, planes):
+    """classify_tile's analytic (verdict, straddled) from the public per-plane
+    API alone: plane_quadratic and classify_against_plane over the inflated
+    box, built with classify_tile's own expressions, with no pre-test."""
+    h_lo, h_hi = tile.height_range
+    lat_lo, lat_hi = tile.lat_range
+    lon_lo, lon_hi = tile.lon_range
+    f = cull.inflation
+    hw = [f * 0.5 * (h_hi - h_lo), f * 0.5 * (lat_hi - lat_lo), f * 0.5 * (lon_hi - lon_lo)]
+    jet = sphere_jet(params, [params.radius_m + 0.5 * (h_lo + h_hi),
+                              0.5 * (lat_lo + lat_hi), 0.5 * (lon_lo + lon_hi)])
+    box = Box3([-w for w in hw], hw)
+    straddled = 0
+    for k, plane in enumerate(frustum.planes):
+        if not planes >> k & 1:
+            continue
+        state = classify_against_plane(*plane_quadratic(jet, plane), box, cull.extrema_mode)
+        if state is PlaneState.FULLY_OUTSIDE:
+            return Classification.OUTSIDE, 0
+        if state is PlaneState.STRADDLES:
+            straddled |= 1 << k
+    return (Classification.INTERSECT, straddled) if straddled else (Classification.INSIDE, 0)
+
+
+def _differential_walk(frustum, cfg, pyramid, params):
+    """Walk the traversal's (tile, mask) stack, asserting at every tile that
+    classify_tile with the mask equals the kernel-only reference; returns the
+    tested tiles."""
+    n_lat, n_lon = _grid_shape(cfg.start_level)
+    stack = [(pyramid.tile(cfg.start_level, i, j), ALL_PLANES)
+             for i in range(n_lat) for j in range(n_lon)]
+    tested = []
+    while stack:
+        tile, planes = stack.pop()
+        got = classify_tile(tile, frustum, params, Method.ANALYTIC_BIN, cfg.cull,
+                            planes=planes)
+        want = _kernel_only(tile, frustum, params, cfg.cull, planes)
+        assert got == want, (tile.tile_id, planes)
+        tested.append(tile)
+        cls, straddled = want
+        if cls is Classification.INTERSECT and tile.level < cfg.max_level:
+            stack.extend((child, straddled) for child in subdivide(tile, pyramid))
+    return tested
+
+
+def _one_plane_frustum(b, h, d):
+    """A frustum stand-in and jet rows whose single plane (normal e_x through
+    the origin) yields exactly the plane terms b, H and d, so tests can drive
+    _classify_bin_scalars with a chosen quadratic."""
+    rows = ([d, 0.0, 0.0],
+            [[-b[0], -b[1], -b[2]], [0.0] * 3, [0.0] * 3],
+            [[-h[r][c] for c in range(3)] for r in range(3)],
+            [[0.0] * 3 for _ in range(3)],
+            [[0.0] * 3 for _ in range(3)])
+    return rows, SimpleNamespace(plane_scalars=((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),) * 6)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the extrema kernel calls of _classify_bin_scalars, per mode."""
+    calls = {mode: 0 for mode in ExtremaMode}
+
+    def counting(mode, kernel):
+        def wrapper(*args):
+            calls[mode] += 1
+            return kernel(*args)
+        return wrapper
+    for mode, kernel in list(_EXTREMA.items()):
+        monkeypatch.setitem(_EXTREMA, mode, counting(mode, kernel))
+    return calls
+
+
+class TestIntervalPretest:
+    """The interval pre-test gives the extrema kernel's own verdicts."""
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_bundled_frames_match_kernel_only(self, scenarios_dir, mode):
+        for name, frames in (("orbit_sinusoidal", range(0, 97, 8)), ("peak_orbit", (3, 12))):
+            sc = load_scenario(scenarios_dir / f"{name}.json")
+            cfg = dataclasses.replace(
+                sc.terrain, cull=dataclasses.replace(sc.terrain.cull, extrema_mode=mode))
+            pyramid = build_minmax_pyramid(sc.build_heightfield(), cfg)
+            for frame in frames:
+                frustum = frustum_from_camera(sc.cameras[frame])
+                assert _differential_walk(frustum, cfg, pyramid, sc.geodetic)
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_orbit_poses_match_kernel_only(self, mode):
+        rng = np.random.default_rng(16)
+        cfg = TerrainConfig(start_level=2, max_level=6, cull=CullConfig(1.1, mode))
+        pyramid = build_minmax_pyramid(synth_heightfield("SINUSOIDAL", rows=65, cols=129), cfg)
+        pole = seam = 0
+        for _ in range(20):
+            frustum = frustum_from_camera(_orbit_pose(rng, PARAMS))
+            for tile in _differential_walk(frustum, cfg, pyramid, PARAMS):
+                if tile.level > cfg.start_level:
+                    pole += tile.lat_range[0] == -math.pi / 2 or tile.lat_range[1] == math.pi / 2
+                    seam += tile.lon_range[0] == -math.pi or tile.lon_range[1] == math.pi
+        assert pole > 0 and seam > 0
+
+    def test_bound_brackets_kernel_ranges(self, rng, kernel_calls):
+        # d at either end of a kernel's range must be left to the kernel:
+        # [LB - eps, UB + eps] contains every kernel's [min, max]
+        for k in range(400):
+            q = dataclasses.replace(random_quadratic(rng), constant=0.0)
+            half = rng.uniform(0.05, 3.0, size=3)
+            if k % 2:
+                half[rng.integers(0, 3)] = 0.0
+            box = Box3(-half, half)
+            for ext in (box_extrema_exact(q, box), box_extrema_grid(q, box, 5)):
+                for d in (ext.min_val, ext.max_val):
+                    rows, frustum = _one_plane_frustum(q.linear.tolist(),
+                                                       q.hessian.tolist(), d)
+                    before = kernel_calls[ExtremaMode.EXACT]
+                    _classify_bin_scalars(*rows, *box.lo.tolist(), *box.hi.tolist(),
+                                          frustum, ExtremaMode.EXACT, 1)
+                    assert kernel_calls[ExtremaMode.EXACT] == before + 1
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_eps_band_reaches_kernel(self, mode, kernel_calls):
+        # s(x) = x0 over [-1, 1]^3: UB = 1, LB = -1, T = 1, eps ~ 2e-9
+        rows_for = lambda d: _one_plane_frustum([1.0, 0.0, 0.0], [[0.0] * 3] * 3, d)
+        cases = [(1.0 + 1e-10, Classification.OUTSIDE, 1),
+                 (1.0 + 1e-6, Classification.OUTSIDE, 0),
+                 (-1.0 - 1e-10, Classification.INSIDE, 1),
+                 (-1.0 - 1e-6, Classification.INSIDE, 0)]
+        for d, verdict, calls in cases:
+            rows, frustum = rows_for(d)
+            before = kernel_calls[mode]
+            got = _classify_bin_scalars(*rows, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0,
+                                        frustum, mode, 1)
+            assert got == (verdict, 0), d
+            assert kernel_calls[mode] - before == calls, d
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_nan_distance_straddles(self, mode, kernel_calls):
+        rows, frustum = _one_plane_frustum([1.0, 0.0, 0.0], [[0.0] * 3] * 3, math.nan)
+        got = _classify_bin_scalars(*rows, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0,
+                                    frustum, mode, 1)
+        assert got == (Classification.INTERSECT, 1)
+        assert kernel_calls[mode] == 1
+
+    def test_uncentred_box_reaches_kernel(self, canonical_frustum, kernel_calls):
+        jet = identity_jet([0.0, 0.0, -50.0])
+        centred = classify_bin(jet, Box3([-0.5] * 3, [0.5] * 3), canonical_frustum)
+        assert (centred, kernel_calls[ExtremaMode.EXACT]) == (Classification.INSIDE, 0)
+        shifted = classify_bin(jet, Box3([-0.5, -0.5, -0.25], [0.5, 0.5, 0.75]),
+                               canonical_frustum)
+        assert (shifted, kernel_calls[ExtremaMode.EXACT]) == (Classification.INSIDE, 6)

@@ -442,6 +442,16 @@ class TestHeightFieldIO:
         with pytest.raises(ValueError):
             HeightField(np.array(samples), lat_range, lon_range)
 
+    @pytest.mark.parametrize("lat_range, lon_range, name", [
+        ((0.1, 0.1), (0.1, 0.3), "lat_range"),
+        ((0.1, 0.3), (0.2, 0.2), "lon_range"),
+    ])
+    def test_zero_width_range_over_several_samples_rejected(self, lat_range, lon_range,
+                                                            name):
+        # write_heightfield would store spacing 0, which load_heightfield rejects
+        with pytest.raises(ValueError, match=name):
+            HeightField(np.zeros((3, 4)), lat_range, lon_range)
+
     def test_portable_corrupt_payload(self, tmp_path):
         hf = synth_heightfield("FLAT", rows=4, cols=4, value=1.0)
         path = tmp_path / "short.abhf"
