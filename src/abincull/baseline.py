@@ -1,8 +1,9 @@
 """The 8-corner world-box baseline and ground-truth sampling oracles.
 
 The baseline maps the 8 parameter-space corners of a bin through the true
-mapping and classifies their axis-aligned hull against the frustum with
-per-corner signed distances.  For curved mappings that hull does not
+mapping and classifies their axis-aligned hull against the frustum by the
+signed distances of its corners, of which the p/n-vertex test evaluates the
+two that decide each plane.  For curved mappings that hull does not
 necessarily enclose the whole image: the bulge between corners can escape
 it, which is exactly the failure mode the comparison report flags as
 UNSOUND whenever a method claims OUTSIDE for a tile in which the sampling
@@ -40,23 +41,57 @@ DEFAULT_ORACLE_LATTICE = (33, 33, 5)
 def world_aabb_of_bin(map_fn, center, bin_offsets: Box3) -> Box3:
     """Hull of the true-mapped corners of an (uninflated) bin.
 
-    map_fn maps (n, 3) parameter points to world points.  Only the 8
-    corners are mapped, so for curved mappings the interior of the image
-    may stick out of the returned box.
+    map_fn receives a sequence of 8 points, the bin's parameter-space corners
+    as (r, lat, lon) 3-tuples in ``Box3.corners()`` order, and returns their 8
+    world points (an (8, 3) array or a sequence of 3-sequences).  Only the 8
+    corners are mapped, so for curved mappings the interior of the image may
+    stick out of the returned box.
     """
-    corners = np.asarray(center, dtype=float) + bin_offsets.corners()
-    world = np.asarray(map_fn(corners), dtype=float)
-    return Box3(world.min(axis=0), world.max(axis=0))
+    c0, c1, c2 = center
+    lo0, lo1, lo2 = bin_offsets.lo.tolist()
+    hi0, hi1, hi2 = bin_offsets.hi.tolist()
+    corners = [(a, b, c) for a in (c0 + lo0, c0 + hi0)
+               for b in (c1 + lo1, c1 + hi1) for c in (c2 + lo2, c2 + hi2)]
+    xs, ys, zs = zip(*map_fn(corners))
+    return Box3((min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs)))
 
 
 def classify_aabb8(box: Box3, frustum: Frustum) -> Classification:
-    """Classic per-plane signed-distance test of the 8 box corners."""
-    dists = frustum.signed_distances(box.corners())  # (8, 6)
-    if bool(np.any(dists.min(axis=0) > 0.0)):
-        return Classification.OUTSIDE
-    if bool(np.all(dists.max(axis=0) <= 0.0)):
-        return Classification.INSIDE
-    return Classification.INTERSECT
+    """Corner test of an axis-aligned box against the frustum's six planes.
+
+    Per plane only two corners decide (Greene, "Detecting intersection of a
+    rectangular solid and a convex polyhedron", Graphics Gems IV, 1994): the
+    n-vertex, which takes ``lo`` on the axes where the normal is >= 0 and
+    ``hi`` elsewhere, and the opposite p-vertex.  The box is OUTSIDE when some
+    plane's n-vertex distance is > 0 and INSIDE when every p-vertex distance
+    is <= 0.  Each distance is x.n - n.p in plain floats; rounding is
+    monotone, so the two equal the least and greatest of the 8 corner
+    distances computed the same way.  A NaN bound or distance gives
+    INTERSECT, as it does in the 8-corner test.
+    """
+    lo0, lo1, lo2 = box.lo.tolist()
+    hi0, hi1, hi2 = box.hi.tolist()
+    if not (lo0 <= hi0 and lo1 <= hi1 and lo2 <= hi2):  # a NaN bound
+        return Classification.INTERSECT
+    inside = True
+    for n0, n1, n2, off in frustum.plane_offsets:
+        if n0 >= 0.0:
+            a0, b0 = lo0, hi0
+        else:
+            a0, b0 = hi0, lo0
+        if n1 >= 0.0:
+            a1, b1 = lo1, hi1
+        else:
+            a1, b1 = hi1, lo1
+        if n2 >= 0.0:
+            a2, b2 = lo2, hi2
+        else:
+            a2, b2 = hi2, lo2
+        if a0 * n0 + a1 * n1 + a2 * n2 - off > 0.0:
+            return Classification.OUTSIDE
+        if not (b0 * n0 + b1 * n1 + b2 * n2 - off <= 0.0):
+            inside = False
+    return Classification.INSIDE if inside else Classification.INTERSECT
 
 
 @lru_cache(maxsize=64)

@@ -160,6 +160,8 @@ def classify_against_plane(q: ScalarQuadratic, d: float, bin_box: Box3,
     """Three-way test of an (already inflated) bin against one plane."""
     mn, mx, _, _ = _EXTREMA[mode](*_unpack(q), *bin_box.lo.tolist(),
                                   *bin_box.hi.tolist())
+    if mn > mx:  # every candidate value was NaN
+        return PlaneState.STRADDLES
     if mx < d:
         return PlaneState.FULLY_OUTSIDE
     if d < mn:
@@ -226,9 +228,11 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
         mn, mx, _, _ = extrema(0.0, b0, b1, b2,
                                h00, h01, h02, h11, h12, h22,
                                lo0, lo1, lo2, hi0, hi1, hi2)
-        if mx < d:
+        if mx < d and mn <= mx:
             return Classification.OUTSIDE, 0
-        if not d < mn:  # a NaN bound counts as straddling
+        # a NaN d, or no candidate value at all (mn > mx: every one was
+        # NaN), counts as straddling
+        if not d < mn or mn > mx:
             straddled |= 1 << k
     if straddled:
         return Classification.INTERSECT, straddled

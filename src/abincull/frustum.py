@@ -69,6 +69,10 @@ class Frustum:
             (float(p.normal[0]), float(p.normal[1]), float(p.normal[2]),
              float(p.point[0]), float(p.point[1]), float(p.point[2]))
             for p in planes)
+        # (n0, n1, n2, normal . point) per plane, for the box-corner test
+        self.plane_offsets = tuple(
+            (n0, n1, n2, off) for (n0, n1, n2, *_), off
+            in zip(self.plane_scalars, self._offsets.tolist()))
 
     def signed_distances(self, points) -> np.ndarray:
         """Signed distances of (..., 3) points to all 6 planes, shape (..., 6)."""

@@ -95,6 +95,19 @@ def sphere_point(params: GeodeticParams, x) -> np.ndarray:
                      r * clat * np.cos(lon)], axis=-1)
 
 
+def _sphere_point_rows(points) -> list[tuple[float, float, float]]:
+    """``sphere_point`` on a sequence of float (r, lat, lon) triples.
+
+    Returns plain float triples, computed with ``math`` in ``sphere_point``'s
+    order of operations.
+    """
+    out = []
+    for r, lat, lon in points:
+        clat = math.cos(lat)
+        out.append((r * clat * math.sin(lon), r * math.sin(lat), r * clat * math.cos(lon)))
+    return out
+
+
 def _sphere_jet_rows(r: float, lat: float, lon: float):
     """Sphere jet as plain float tuples: (value, jacobian rows, H_x, H_y, H_z).
 

@@ -85,7 +85,7 @@ class Box3:
     def __post_init__(self):
         lo = _as_vec3(self.lo)
         hi = _as_vec3(self.hi)
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError(f"invalid box: lo {lo} exceeds hi {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)

@@ -24,7 +24,7 @@ import numpy as np
 from .baseline import classify_aabb8, world_aabb_of_bin
 from .cull import ALL_PLANES, Classification, CullConfig, _classify_bin_scalars
 from .frustum import Frustum
-from .mapping import GeodeticParams, _sphere_jet_rows, sphere_point
+from .mapping import GeodeticParams, _sphere_jet_rows, _sphere_point_rows
 from .quadratic import Box3
 
 __all__ = [
@@ -499,24 +499,26 @@ def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
     ignores the mask and reports all six planes, because the corner hull of a
     child tile is not nested in its parent's.
     """
+    h_lo, h_hi = tile.height_range
+    lat_lo, lat_hi = tile.lat_range
+    lon_lo, lon_hi = tile.lon_range
+    c0 = params.radius_m + 0.5 * (h_lo + h_hi)
+    c1 = 0.5 * (lat_lo + lat_hi)
+    c2 = 0.5 * (lon_lo + lon_hi)
+    hw0 = 0.5 * (h_hi - h_lo)
+    hw1 = 0.5 * (lat_hi - lat_lo)
+    hw2 = 0.5 * (lon_hi - lon_lo)
     if method is Method.ANALYTIC_BIN:
-        h_lo, h_hi = tile.height_range
-        lat_lo, lat_hi = tile.lat_range
-        lon_lo, lon_hi = tile.lon_range
         f = cull.inflation
-        hw0 = f * 0.5 * (h_hi - h_lo)
-        hw1 = f * 0.5 * (lat_hi - lat_lo)
-        hw2 = f * 0.5 * (lon_hi - lon_lo)
-        value, jac, h_x, h_y, h_z = _sphere_jet_rows(
-            params.radius_m + 0.5 * (h_lo + h_hi),
-            0.5 * (lat_lo + lat_hi), 0.5 * (lon_lo + lon_hi))
+        hw0, hw1, hw2 = f * hw0, f * hw1, f * hw2
+        value, jac, h_x, h_y, h_z = _sphere_jet_rows(c0, c1, c2)
         result = _classify_bin_scalars(value, jac, h_x, h_y, h_z,
                                        -hw0, -hw1, -hw2, hw0, hw1, hw2,
                                        frustum, cull.extrema_mode,
                                        ALL_PLANES if planes is None else planes)
     else:
-        center, offsets = tile_bin(tile, params)
-        box = world_aabb_of_bin(lambda pts: sphere_point(params, pts), center, offsets)
+        box = world_aabb_of_bin(_sphere_point_rows, (c0, c1, c2),
+                                Box3((-hw0, -hw1, -hw2), (hw0, hw1, hw2)))
         result = classify_aabb8(box, frustum), ALL_PLANES
     return result[0] if planes is None else result
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,15 +9,24 @@ from abincull import (
     CameraPose,
     Classification,
     ClassificationRun,
+    Frustum,
     GeodeticParams,
+    Method,
+    Plane,
+    build_minmax_pyramid,
     classify_aabb8,
     compare_classifications,
     frustum_from_camera,
     identity_point,
     sample_oracle,
     sphere_point,
+    traverse,
     world_aabb_of_bin,
 )
+from abincull import terrain
+from abincull.cli import random_pose
+from abincull.mapping import _sphere_point_rows
+from abincull.scenario import load_scenario
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -66,6 +76,120 @@ class TestClassifyAabb8:
     def test_straddles_near(self, canonical_frustum):
         box = Box3([-0.5, -0.5, -1.5], [0.5, 0.5, -0.5])
         assert classify_aabb8(box, canonical_frustum) is X
+
+
+def corner_reference(box, frustum):
+    """The 8-corner test in numpy: every corner's signed distance to every
+    plane, OUTSIDE if some plane's least is > 0, INSIDE if all are <= 0."""
+    dists = frustum.signed_distances(box.corners())  # (8, 6)
+    if bool(np.any(dists.min(axis=0) > 0.0)):
+        return OUT
+    if bool(np.all(dists.max(axis=0) <= 0.0)):
+        return IN
+    return X
+
+
+def slab_frustum():
+    """Axis-aligned planes -1 <= x <= 2, -2 <= y <= 1, -3 <= z <= 0: integer
+    corners get exact signed distances."""
+    bounds = ((-1.0, 2.0), (-2.0, 1.0), (-3.0, 0.0))
+    planes = []
+    for axis, (lo, hi) in enumerate(bounds):
+        e = np.eye(3)[axis]
+        planes += [Plane(e, hi * e), Plane(-e, lo * e)]
+    return Frustum(planes, [0.0, 0.0, -1.0])
+
+
+class TestCornerTestDifferential:
+    """classify_aabb8's p/n-vertex core against the numpy 8-corner test."""
+
+    def test_bundled_aabb8_tiles(self, scenarios_dir, monkeypatch):
+        # every AABB8 tile of the bundled frames: same verdict as the 8-corner
+        # reference, and the same hull bits as under numpy's sphere_point
+        real_hull, real_test = terrain.world_aabb_of_bin, terrain.classify_aabb8
+        seen = {"hull": 0, "test": 0}
+
+        def hull(map_fn, center, offsets):
+            box = real_hull(map_fn, center, offsets)
+            want = real_hull(SPHERE, center, offsets)
+            assert (box.lo.tobytes(), box.hi.tobytes()) == (want.lo.tobytes(),
+                                                            want.hi.tobytes())
+            seen["hull"] += 1
+            return box
+
+        def corner_test(box, frustum):
+            got = real_test(box, frustum)
+            assert got is corner_reference(box, frustum), (box, got)
+            seen["test"] += 1
+            return got
+        monkeypatch.setattr(terrain, "world_aabb_of_bin", hull)
+        monkeypatch.setattr(terrain, "classify_aabb8", corner_test)
+        visited = 0
+        for name, frames in (("orbit_sinusoidal", range(0, 97, 8)), ("peak_orbit", (3, 12))):
+            sc = load_scenario(scenarios_dir / f"{name}.json")
+            pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+            for frame in frames:
+                frustum = frustum_from_camera(sc.cameras[frame])
+                _, stats = traverse(frustum, sc.terrain, pyramid, sc.geodetic, Method.AABB8)
+                visited += stats.visited
+        assert seen == {"hull": visited, "test": visited} and visited > 0
+
+    def test_integer_boxes_touching_planes(self):
+        # lo/hi run over every integer interval in [-3, 3], so many corners
+        # lie exactly on a plane and decide through > 0 / <= 0 alone
+        frustum = slab_frustum()
+        intervals = [(a, b) for a in range(-3, 4) for b in range(a, 4)]
+        seen = set()
+        for (l0, h0), (l1, h1), (l2, h2) in itertools.product(intervals, repeat=3):
+            box = Box3([l0, l1, l2], [h0, h1, h2])
+            got = classify_aabb8(box, frustum)
+            assert got is corner_reference(box, frustum), (box.lo, box.hi)
+            seen.add(got)
+        assert seen == {OUT, IN, X}
+        # n-vertex on a plane is not outside; p-vertex on a plane is inside
+        assert classify_aabb8(Box3([2, 0, -1], [3, 1, 0]), frustum) is X
+        assert classify_aabb8(Box3([-1, -2, -3], [2, 1, 0]), frustum) is IN
+        assert classify_aabb8(Box3([3, 0, -1], [3, 1, 0]), frustum) is OUT
+
+    def test_normals_with_zero_components(self, rng, canonical_frustum):
+        # the canonical frustum's planes each have a zero normal component
+        assert all(0.0 in (n0, n1, n2)
+                   for n0, n1, n2, _ in canonical_frustum.plane_offsets)
+        frusta = [canonical_frustum] + [frustum_from_camera(random_pose(rng))
+                                        for _ in range(20)]
+        seen = set()
+        for frustum in frusta:
+            for _ in range(300):
+                center = rng.uniform(-150.0, 150.0, 3)
+                half = rng.uniform(0.0, 40.0, 3)
+                half[rng.integers(0, 3)] *= rng.integers(0, 2)  # some flat boxes
+                box = Box3(center - half, center + half)
+                got = classify_aabb8(box, frustum)
+                assert got is corner_reference(box, frustum)
+                seen.add(got)
+        assert seen == {OUT, IN, X}
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([math.nan] * 3, [math.nan] * 3),
+        ([-0.5, -0.5, -200.0], [math.nan, 0.5, -150.0]),  # else beyond far
+        ([-0.5, -0.5, -51.0], [0.5, math.nan, -50.0]),     # else interior
+    ])
+    def test_nan_box_intersects(self, canonical_frustum, lo, hi):
+        box = Box3(lo, hi)
+        assert classify_aabb8(box, canonical_frustum) is X
+        assert corner_reference(box, canonical_frustum) is X
+
+    def test_plain_corner_map_matches_sphere_point(self, rng):
+        for _ in range(500):
+            center = (R + rng.uniform(-500.0, 9000.0), rng.uniform(-1.57, 1.57),
+                      rng.uniform(-3.14, 3.14))
+            half = [rng.uniform(0.0, 4000.0) * rng.integers(0, 2),
+                    rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)]
+            offsets = Box3([-w for w in half], half)
+            got = world_aabb_of_bin(_sphere_point_rows, center, offsets)
+            want = world_aabb_of_bin(SPHERE, center, offsets)
+            assert (got.lo.tobytes(), got.hi.tobytes()) == (want.lo.tobytes(),
+                                                            want.hi.tobytes())
 
 
 class TestSampleOracle:

@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from conftest import repo_root
 
 
@@ -20,7 +22,8 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def test_traced_run_ends_in_strict_json_with_every_per_layer_metric(tmp_path):
+@pytest.mark.parametrize("workload", ["orbit-run", "orbit-compare"])
+def test_traced_run_ends_in_strict_json_with_every_per_layer_metric(tmp_path, workload):
     root = repo_root()
     copy = tmp_path / "checkout"
     skip = shutil.ignore_patterns("__pycache__", "results", "_work")
@@ -28,7 +31,7 @@ def test_traced_run_ends_in_strict_json_with_every_per_layer_metric(tmp_path):
     shutil.copytree(root / "perfbench", copy / "perfbench", ignore=skip)
     shutil.copy(root / "BENCHMARK.json", copy)
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "orbit-compare",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=copy, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

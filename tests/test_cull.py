@@ -168,6 +168,14 @@ class TestClassifyAgainstPlane:
         state = classify_against_plane(self.Q, 0.0, HALF_BOX, ExtremaMode.NINE_POINT)
         assert state is PlaneState.STRADDLES
 
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_all_nan_candidates_straddle(self, mode):
+        # every candidate value is NaN, so the kernel keeps no extremum and
+        # returns (inf, -inf); that is no bound, not a separation
+        q = ScalarQuadratic(0.0, [math.nan, 0.0, 0.0], np.zeros((3, 3)))
+        state = classify_against_plane(q, 0.0, Box3([-1.0] * 3, [1.0] * 3), mode)
+        assert state is PlaneState.STRADDLES
+
     def test_mode_dominance(self, rng):
         # EXACT deciding a side forces NINE_POINT to decide the same side
         from abincull.cli import random_box, random_quadratic
@@ -197,6 +205,17 @@ class TestClassifyBin:
     def test_straddles_near_plane(self, canonical_frustum):
         jet = identity_jet([0.0, 0.0, -1.0])
         cls = classify_bin(jet, HALF_BOX, canonical_frustum, CullConfig(1.0))
+        assert cls is Classification.INTERSECT
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_all_nan_candidates_intersect(self, canonical_frustum, mode):
+        # a NaN Jacobian entry makes every plane's linear term NaN; the tile
+        # would be INSIDE with a finite one
+        jet = identity_jet([0.0, 0.0, -50.0])
+        jac = jet.jacobian.copy()
+        jac[0, 0] = math.nan
+        cls = classify_bin(dataclasses.replace(jet, jacobian=jac), HALF_BOX,
+                           canonical_frustum, CullConfig(1.1, mode))
         assert cls is Classification.INTERSECT
 
     def test_identity_equivalence_with_corner_test(self, rng):

@@ -378,6 +378,27 @@ class TestFrameLoop:
             assert len(calls) == sum(row["visited"] for row in rows) > 0, name
             assert set(calls) == {5}, name
 
+    def test_corner_spans_probe_contract(self, tmp_path, scenarios_dir, monkeypatch):
+        # perfbench times abincull.terrain.world_aabb_of_bin and
+        # abincull.terrain.classify_aabb8 as the AABB8 corner map and corner
+        # test, so the traversal calls each once per AABB8 tile
+        calls = {"world_aabb_of_bin": 0, "classify_aabb8": 0}
+
+        def counting(name):
+            real = getattr(terrain, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(terrain, name, counting(name))
+        sc = load_scenario(scenarios_dir / "smoke.json")
+        rows = run_scenario(dataclasses.replace(sc, methods=("AABB8",)), tmp_path)
+        visited = sum(row["visited"] for row in rows)
+        assert visited > 0
+        assert calls == {"world_aabb_of_bin": visited, "classify_aabb8": visited}
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_trace_targets_probe_contract(self, tmp_path, scenarios_dir, monkeypatch,
                                           command):
