@@ -1,14 +1,14 @@
 """Benchmark harness: run scenarios, compare methods, self-test invariants.
 
-``run`` and ``compare`` share one frame loop: per frame, one frustum and one
-traversal per distinct method name.  ``run`` writes stats.csv plus one
+``run`` and ``compare`` loop over one frame generator: per frame, one frustum
+and one traversal per distinct method name.  ``run`` writes stats.csv plus one
 visible-tile JSON per (method, frame).  stats.csv is byte-stable across
 repeated runs, so its elapsed_ns column is a fixed 0 placeholder; measured
 wall times go to timings.csv, which is host-dependent.
 
-``compare`` reads each method's start-level grid verdicts back
-from its traversal, classifies the same grid with the sampling oracle,
-oracle-checks every tile a traversal pruned, and writes a comparison report
+``compare`` walks each method's classification map once per frame; the
+sampling oracle classifies every start-level tile and every pruned tile, each
+once per frame.  It writes a comparison report
 with per-frame INTERSECT ratios and UNSOUND flags (tiles claimed OUTSIDE
 that provably contain visible surface).
 """
@@ -60,11 +60,12 @@ STATS_COLUMNS = ("frame", "method", "visited", "outside", "inside", "intersect",
                  "leaves_rendered", "max_depth", "elapsed_ns")
 
 
-def _each_frame(scenario: Scenario, base_dir, handle, keep_classified=False) -> None:
-    """Per frame: one frustum, then ``handle(frame, frustum, results)``, where
-    ``results`` traverses each distinct method once as it is consumed and
-    yields ``(name, (visible, stats, classified))``; ``classified`` maps
-    tile_id -> (tile, classification), filled only if ``keep_classified``.
+def _frames(scenario: Scenario, base_dir, keep_classified=False):
+    """Yield ``(frame, frustum, results)`` per camera, where
+    ``results[name] = (visible, stats, classified)`` for each distinct method
+    name, traversed once; ``classified`` maps tile_id -> (tile,
+    classification), filled only if ``keep_classified``.  ``visible`` and
+    ``classified`` are emptied when the next frame is requested.
     """
     pyramid = build_minmax_pyramid(scenario.build_heightfield(base_dir), scenario.terrain)
     configs = {}
@@ -75,17 +76,21 @@ def _each_frame(scenario: Scenario, base_dir, handle, keep_classified=False) -> 
             cull = dataclasses.replace(cull, extrema_mode=mode)
         configs[name] = method, dataclasses.replace(scenario.terrain, cull=cull)
 
-    def results(frustum):
+    for frame, pose in enumerate(scenario.cameras):
+        frustum = frustum_from_camera(pose)
+        results = {}
         for name, (method, cfg) in configs.items():
             classified = {}
             record = lambda tile, cls: classified.__setitem__(tile.tile_id, (tile, cls))
             visible, stats = traverse(frustum, cfg, pyramid, scenario.geodetic, method,
                                       sink=record if keep_classified else None)
-            yield name, (visible, stats, classified)
-
-    for frame, pose in enumerate(scenario.cameras):
-        frustum = frustum_from_camera(pose)
-        handle(frame, frustum, results(frustum))
+            results[name] = visible, stats, classified
+        yield frame, frustum, results
+        # the caller's loop variables still hold this frame; empty it so that
+        # two frames' tiles are never alive at once
+        for visible, _, classified in results.values():
+            visible.clear()
+            classified.clear()
 
 
 def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
@@ -94,9 +99,8 @@ def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     timing_rows = []
-
-    def write_frame(frame, frustum, results):
-        for method_name, (visible, stats, _) in results:
+    for frame, _, results in _frames(scenario, base_dir):
+        for method_name, (visible, stats, _) in results.items():
             row = {
                 "frame": frame, "method": method_name,
                 "visited": stats.visited, "outside": stats.outside,
@@ -112,7 +116,6 @@ def run_scenario(scenario: Scenario, out_dir, base_dir=None) -> list[dict]:
             path = out / f"visible_{method_name}_{frame}.json"
             path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
-    _each_frame(scenario, base_dir, write_frame)
     for name, data in (("stats.csv", rows), ("timings.csv", timing_rows)):
         with open(out / name, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=STATS_COLUMNS, lineterminator="\n")
@@ -128,9 +131,11 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
     Per frame: every distinct method traverses once (stats feed the
     INTERSECT ratio).  ``traverse`` classifies the whole start-level grid
     first, so each method's grid verdicts are read back from its
-    classification map and the oracle classifies the same tiles (the
-    identical-tile-set pair table).  Every tile a traversal pruned is
-    oracle-checked so unsound prunes at any depth are flagged.
+    classification map in the same single walk that oracle-checks every tile
+    it pruned, so unsound prunes at any depth are flagged.  A start-level or
+    pruned tile gets its oracle verdict the first time the frame needs it,
+    memoised across methods; the start grid's verdicts fill the oracle side
+    of the identical-tile-set pair table.
     ``frame_callback(frame, frustum, classified_by_method)`` sees each
     frame's full classification maps before they are discarded.
     """
@@ -148,34 +153,26 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
     stats_by_method = {name: [] for name in scenario.methods}
     pruned_flags = []  # (frame, tile_id, method, oracle_state)
 
-    def check_frame(frame, frustum, results):
-        results = dict(results)
-        oracle_wanted = {}
+    for frame, frustum, results in _frames(scenario, base_dir, keep_classified=True):
+        oracle_states = {}
         for method_name, (_, stats, classified) in results.items():
             stats_by_method[method_name].append(stats)
             grid_runs[method_name][frame] = {tile_id: classified[tile_id][1]
                                              for tile_id in start_ids}
             for tile_id, (tile, cls) in classified.items():
-                if tile.level == scenario.terrain.start_level or cls is Classification.OUTSIDE:
-                    oracle_wanted.setdefault(tile_id, tile)
-
-        oracle_states = {}
-        for tile_id in sorted(oracle_wanted):
-            center, offsets = tile_bin(oracle_wanted[tile_id], params)
-            oracle_states[tile_id] = sample_oracle(map_fn, center, offsets,
-                                                   frustum, scenario.oracle_lattice)
-
-        for method_name, (_, _, classified) in results.items():
-            for tile_id, (_, cls) in classified.items():
-                if cls is Classification.OUTSIDE:
-                    verdict = oracle_states[tile_id]
-                    if verdict is not Classification.OUTSIDE:
-                        pruned_flags.append((frame, tile_id, method_name, verdict.value))
+                pruned = cls is Classification.OUTSIDE
+                if not pruned and tile.level != scenario.terrain.start_level:
+                    continue
+                if tile_id not in oracle_states:
+                    center, offsets = tile_bin(tile, params)
+                    oracle_states[tile_id] = sample_oracle(map_fn, center, offsets,
+                                                           frustum, scenario.oracle_lattice)
+                verdict = oracle_states[tile_id]
+                if pruned and verdict is not Classification.OUTSIDE:
+                    pruned_flags.append((frame, tile_id, method_name, verdict.value))
         oracle_grid[frame] = {tile_id: oracle_states[tile_id] for tile_id in start_ids}
         if frame_callback is not None:
             frame_callback(frame, frustum, {name: r[2] for name, r in results.items()})
-
-    _each_frame(scenario, base_dir, check_frame, keep_classified=True)
 
     name_a, name_b = scenario.methods[0], scenario.methods[1]
     report = compare_classifications(

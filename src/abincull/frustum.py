@@ -22,11 +22,19 @@ __all__ = [
 ]
 
 
-def _unit(v, what: str) -> np.ndarray:
+def _vec3(v, what: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
-    n = np.linalg.norm(a)
-    if a.shape != (3,) or n == 0.0:
-        raise ValueError(f"{what} must be a nonzero 3-vector")
+    if a.shape != (3,) or not np.isfinite(a).all():
+        raise ValueError(f"{what} must be a finite 3-vector")
+    return a
+
+
+def _unit(v, what: str) -> np.ndarray:
+    a = _vec3(v, what)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(a)
+    if not 0.0 < n < math.inf:  # an overflowing norm would give a zero unit vector
+        raise ValueError(f"{what} must be a nonzero 3-vector of finite length")
     return a / n
 
 
@@ -101,7 +109,7 @@ class CameraPose:
     far: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eye", np.asarray(self.eye, dtype=float))
+        object.__setattr__(self, "eye", _vec3(self.eye, "eye"))
         object.__setattr__(self, "look_dir", _unit(self.look_dir, "look_dir"))
         object.__setattr__(self, "up_hint", _unit(self.up_hint, "up_hint"))
         if not 0.0 < self.fov_y < math.pi:

@@ -71,8 +71,8 @@ class GeodeticParams:
     radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self):
-        if not self.radius_m > 0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
+        if not 0 < self.radius_m < math.inf:
+            raise ValueError(f"radius_m must be positive and finite, got {self.radius_m}")
 
 
 def identity_point(x) -> np.ndarray:

@@ -223,6 +223,8 @@ def parse_scenario(text: str) -> Scenario:
                           "oracle"))
 
     name = _expect(doc, "name", "$", required=True)
+    if not isinstance(name, str):
+        raise ScenarioError(f"$.name: expected a string, got {name!r}")
     seed = _as_int(_expect(doc, "seed", "$", default=0), "$.seed")
 
     geo_obj = _as_object(_expect(doc, "geodetic", "$", default={}), "$.geodetic",
@@ -273,7 +275,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(methods, list) or not methods:
         raise ScenarioError("$.methods: expected a non-empty list")
     for k, m in enumerate(methods):
-        if m not in METHOD_NAMES:
+        if not isinstance(m, str) or m not in METHOD_NAMES:
             raise ScenarioError(f"$.methods[{k}]: unknown method {m!r}; "
                                 f"expected one of {sorted(METHOD_NAMES)}")
 

@@ -22,7 +22,7 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["orbit-run", "orbit-compare"])
+@pytest.mark.parametrize("workload", ["orbit-run", "orbit-compare", "dem-zoom"])
 def test_traced_run_ends_in_strict_json_with_every_per_layer_metric(tmp_path, workload):
     root = repo_root()
     copy = tmp_path / "checkout"

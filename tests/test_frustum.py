@@ -45,6 +45,20 @@ class TestCameraPose:
         with pytest.raises(ValueError):
             CameraPose([0, 0, 0], [0, 0, -1], [0, 1, 0], 1.0, 0.0, 1.0, 10.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eye", [math.nan, 0, 0]), ("eye", [0, -math.inf, 0]), ("eye", [0, 0]),
+        ("eye", [[0, 0, 0]]), ("look_dir", [math.inf, 0, -1]),
+        ("look_dir", [0, math.nan, -1]), ("look_dir", [0, -1]),
+        ("look_dir", [1e308, 1e308, 0]), ("up_hint", [math.nan, 1, 0]),
+        ("up_hint", [0, 1, 0, 0]),
+    ], ids=["eye_nan", "eye_inf", "eye_2d", "eye_nested", "look_inf", "look_nan",
+         "look_2d", "look_norm_overflow", "up_nan", "up_4d"])
+    def test_rejects_non_finite_or_misshaped_vectors(self, field, value):
+        vectors = {"eye": [0, 0, 0], "look_dir": [0, 0, -1], "up_hint": [0, 1, 0]}
+        vectors[field] = value
+        with pytest.raises(ValueError, match=field):
+            CameraPose(**vectors, fov_y=1.0, aspect=1.0, near=1.0, far=10.0)
+
 
 class TestCanonicalFrustum:
     def test_interior_point(self, canonical_frustum):

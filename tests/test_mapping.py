@@ -91,6 +91,11 @@ class TestSphereJet:
         with pytest.raises(ValueError):
             GeodeticParams(-1.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_params_reject_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius_m"):
+            GeodeticParams(radius)
+
 
 class TestFiniteDifferenceCheck:
     def test_identity_is_exact(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from abincull import (
+    Classification,
     ScenarioError,
     build_minmax_pyramid,
     classify_tile,
@@ -143,6 +144,9 @@ class TestParseScenario:
          {"terrain": {"heightfield": {"path": ""}}}),
         (r"\$\.terrain\.heightfield\.amplitude: not allowed alongside path",
          {"terrain": {"heightfield": {"path": "x.dem", "amplitude": 5}}}),
+        (r"\$\.methods\[0\]: unknown method", {"methods": [["AABB8"]]}),
+        (r"\$\.methods\[1\]: unknown method", {"methods": ["AABB8", {"m": 1}]}),
+        (r"\$\.name: expected a string", {"name": 5}),
     ], ids=["lattice_below_2", "lattice_fraction", "seed", "start_level",
          "max_level", "orbit_frames", "heightfield_rows", "heightfield_cols_below_2",
          "enabled_string", "enabled_number", "terrain_typo", "terrain_altitude_range",
@@ -150,7 +154,8 @@ class TestParseScenario:
          "camera_not_object", "top_level_typo", "max_level_above_12",
          "inverted_lat_range", "zero_width_lon_range", "lat_range_beyond_pole",
          "heightfield_path_number", "heightfield_path_empty",
-         "heightfield_path_with_synthetic_key"])
+         "heightfield_path_with_synthetic_key", "method_list_entry",
+         "method_object_entry", "name_number"])
     def test_rejects_bad_field_with_path(self, path, doc):
         with pytest.raises(ScenarioError, match=path):
             parse_scenario(json.dumps(dict(MINIMAL, **doc)))
@@ -246,6 +251,15 @@ class TestCliRun:
         path.write_text(json.dumps(doc))
         assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: $.terrain.heightfield.path:")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_string_method_exits_2(self, tmp_path, scenarios_dir, capsys, command):
+        doc = json.loads((scenarios_dir / "smoke.json").read_text())
+        doc["methods"] = [["AABB8"], "ANALYTIC_BIN_EXACT"]
+        path = tmp_path / "bad_method.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: $.methods[0]: unknown method")
 
     def test_overrides_apply(self, tmp_path, scenarios_dir):
         sc = load_scenario(scenarios_dir / "smoke.json")
@@ -359,6 +373,42 @@ class TestFrameLoop:
                 method, mode = METHOD_NAMES[name]
                 want.append((frame, method, mode or sc.terrain.cull.extrema_mode))
         assert traversals == want
+
+    def test_one_oracle_call_per_tile_per_frame(self, scenarios_dir, monkeypatch):
+        # compare asks the oracle once per frame for each distinct tile that is
+        # start-level or OUTSIDE in some method's classification map
+        sc = load_scenario(scenarios_dir / "smoke.json")
+        frusta = []
+        real = cli.sample_oracle
+
+        def counting(*args, **kwargs):
+            frusta.append(args[3])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "sample_oracle", counting)
+        frames = []
+
+        def check(frame, frustum, classified_by_method):
+            wanted = {tile_id for classified in classified_by_method.values()
+                      for tile_id, (tile, cls) in classified.items()
+                      if tile.level == sc.terrain.start_level
+                      or cls is Classification.OUTSIDE}
+            assert len(frusta) == len(wanted) > 0, frame
+            assert all(f is frustum for f in frusta), frame
+            frames.append(frame)
+            frusta.clear()
+        run_compare(sc, frame_callback=check)
+        assert frames == list(range(len(sc.cameras)))
+
+    def test_frames_hold_one_frame_of_tiles(self, scenarios_dir):
+        # run and compare keep their loop variables across frames, so the
+        # generator empties a frame's tile containers before the next one
+        sc = load_scenario(scenarios_dir / "smoke.json")
+        frames = cli._frames(sc, None, keep_classified=True)
+        _, _, first = next(frames)
+        held = list(first.values())
+        assert all(visible and classified for visible, _, classified in held)
+        next(frames)
+        assert all(not visible and not classified for visible, _, classified in held)
 
     def test_classify_tile_probe_contract(self, tmp_path, scenarios_dir, monkeypatch):
         # perfbench times each abincull.terrain.classify_tile call as one
