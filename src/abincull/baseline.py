@@ -48,8 +48,7 @@ def world_aabb_of_bin(map_fn, center, bin_offsets: Box3) -> Box3:
     stick out of the returned box.
     """
     c0, c1, c2 = center
-    lo0, lo1, lo2 = bin_offsets.lo.tolist()
-    hi0, hi1, hi2 = bin_offsets.hi.tolist()
+    lo0, lo1, lo2, hi0, hi1, hi2 = bin_offsets.bounds
     corners = [(a, b, c) for a in (c0 + lo0, c0 + hi0)
                for b in (c1 + lo1, c1 + hi1) for c in (c2 + lo2, c2 + hi2)]
     xs, ys, zs = zip(*map_fn(corners))
@@ -69,8 +68,7 @@ def classify_aabb8(box: Box3, frustum: Frustum) -> Classification:
     distances computed the same way.  A NaN bound or distance gives
     INTERSECT, as it does in the 8-corner test.
     """
-    lo0, lo1, lo2 = box.lo.tolist()
-    hi0, hi1, hi2 = box.hi.tolist()
+    lo0, lo1, lo2, hi0, hi1, hi2 = box.bounds
     if not (lo0 <= hi0 and lo1 <= hi1 and lo2 <= hi2):  # a NaN bound
         return Classification.INTERSECT
     inside = True
@@ -124,9 +122,10 @@ def sample_oracle(map_fn, center, bin_offsets: Box3, frustum: Frustum,
     inside the frustum proves the bin is not fully outside, while an all-out
     sample is strong evidence, not proof, of OUTSIDE.
     """
-    widths = bin_offsets.hi - bin_offsets.lo
+    lo = bin_offsets.lo
+    widths = bin_offsets.hi - lo
     unit = _unit_lattice(_oracle_dims(widths, lattice))
-    pts = np.asarray(center, dtype=float) + bin_offsets.lo + unit * widths
+    pts = np.asarray(center, dtype=float) + lo + unit * widths
     inside = frustum.contains_points(np.asarray(map_fn(pts), dtype=float))
     if bool(inside.all()):
         return Classification.INSIDE

@@ -110,9 +110,13 @@ def inflate_bin(bin_box: Box3, factor: float) -> Box3:
     """Scale the box about its center, multiplying each half-width by factor."""
     if factor < 1.0:
         raise ValueError(f"inflation factor must be >= 1, got {factor}")
-    c = bin_box.center
-    hw = bin_box.half_widths * factor
-    return Box3(c - hw, c + hw)
+    lo0, lo1, lo2, hi0, hi1, hi2 = bin_box.bounds
+    # per axis the same IEEE operations as center -+ half_widths * factor
+    c0, c1, c2 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
+    w0 = 0.5 * (hi0 - lo0) * factor
+    w1 = 0.5 * (hi1 - lo1) * factor
+    w2 = 0.5 * (hi2 - lo2) * factor
+    return Box3((c0 - w0, c1 - w1, c2 - w2), (c0 + w0, c1 + w1, c2 + w2))
 
 
 def _plane_terms(value, jac, h_x, h_y, h_z, planes):
@@ -158,8 +162,7 @@ def plane_quadratic(jet: MapJet, plane: Plane):
 def classify_against_plane(q: ScalarQuadratic, d: float, bin_box: Box3,
                            mode: ExtremaMode) -> PlaneState:
     """Three-way test of an (already inflated) bin against one plane."""
-    mn, mx, _, _ = _EXTREMA[mode](*_unpack(q), *bin_box.lo.tolist(),
-                                  *bin_box.hi.tolist())
+    mn, mx, _, _ = _EXTREMA[mode](*_unpack(q), *bin_box.bounds)
     if mn > mx:  # every candidate value was NaN
         return PlaneState.STRADDLES
     if mx < d:
@@ -251,6 +254,6 @@ def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,
     inflated = inflate_bin(bin_offsets, cfg.inflation)
     cls, _ = _classify_bin_scalars(
         jet.value.tolist(), jet.jacobian.tolist(), *jet.hessians.tolist(),
-        *inflated.lo.tolist(), *inflated.hi.tolist(), frustum, cfg.extrema_mode,
+        *inflated.bounds, frustum, cfg.extrema_mode,
         ALL_PLANES)
     return cls

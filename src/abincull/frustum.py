@@ -50,8 +50,11 @@ class Plane:
         p = np.asarray(self.point, dtype=float)
         if n.shape != (3,) or p.shape != (3,):
             raise ValueError("normal and point must be 3-vectors")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        # written so that a NaN length fails too
+        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:
             raise ValueError(f"plane normal must be unit length, got |n| = {np.linalg.norm(n)}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"plane point must be finite, got {p}")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "point", p)
 
@@ -114,10 +117,11 @@ class CameraPose:
         object.__setattr__(self, "up_hint", _unit(self.up_hint, "up_hint"))
         if not 0.0 < self.fov_y < math.pi:
             raise ValueError(f"fov_y must be in (0, pi), got {self.fov_y}")
-        if not self.aspect > 0:
-            raise ValueError(f"aspect must be positive, got {self.aspect}")
-        if not 0.0 < self.near < self.far:
-            raise ValueError(f"need 0 < near < far, got near={self.near} far={self.far}")
+        if not 0.0 < self.aspect < math.inf:
+            raise ValueError(f"aspect must be positive and finite, got {self.aspect}")
+        if not 0.0 < self.near < self.far < math.inf:
+            raise ValueError(f"need 0 < near < far < inf, got near={self.near} "
+                             f"far={self.far}")
         if abs(float(self.look_dir @ self.up_hint)) >= 1.0 - 1e-9:
             raise ValueError("look_dir and up_hint must not be collinear")
 

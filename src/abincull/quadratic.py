@@ -75,20 +75,49 @@ class ScalarQuadratic:
         return self.linear + self.hessian @ x
 
 
-@dataclass(frozen=True)
+def _float_triple(v, what: str) -> tuple[float, float, float]:
+    """v as a tuple of three Python floats; a tuple of floats is kept as is."""
+    if type(v) is tuple and len(v) == 3:
+        a, b, c = v
+        if type(a) is float and type(b) is float and type(c) is float:
+            return v
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"{what} must be a 3-vector, got shape {a.shape}")
+    return tuple(a.tolist())
+
+
+@dataclass(frozen=True, init=False)
 class Box3:
-    """Axis-aligned box; zero-width axes are allowed."""
+    """Axis-aligned box; zero-width axes are allowed.
 
-    lo: np.ndarray
-    hi: np.ndarray
+    The six bounds are held as Python floats, ``bounds = (lo0, lo1, lo2,
+    hi0, hi1, hi2)``, which the kernels read directly; ``lo`` and ``hi``
+    build a new array on each access.  A NaN bound is accepted.
+    """
 
-    def __post_init__(self):
-        lo = _as_vec3(self.lo)
-        hi = _as_vec3(self.hi)
-        if (lo > hi).any():
+    # declared here rather than by slots=True, whose class copy breaks the
+    # frozen __setattr__ for names other than fields on Python 3.11
+    __slots__ = ("bounds",)
+    bounds: tuple[float, float, float, float, float, float]
+
+    def __init__(self, lo, hi):
+        lo = _float_triple(lo, "lo")
+        hi = _float_triple(hi, "hi")
+        if lo[0] > hi[0] or lo[1] > hi[1] or lo[2] > hi[2]:
             raise ValueError(f"invalid box: lo {lo} exceeds hi {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "bounds", lo + hi)
+
+    def __reduce__(self):  # copy and pickle cannot set a frozen slot
+        return Box3, (self.bounds[:3], self.bounds[3:])
+
+    @property
+    def lo(self) -> np.ndarray:
+        return np.array(self.bounds[:3])
+
+    @property
+    def hi(self) -> np.ndarray:
+        return np.array(self.bounds[3:])
 
     @property
     def center(self) -> np.ndarray:
@@ -286,7 +315,7 @@ def _extrema_exact(c0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
 
 
 def _box_extrema(kernel, q: ScalarQuadratic, box: Box3) -> Extrema:
-    mn, mx, amn, amx = kernel(*_unpack(q), *box.lo.tolist(), *box.hi.tolist())
+    mn, mx, amn, amx = kernel(*_unpack(q), *box.bounds)
     return Extrema(mn, mx, np.array(amn), np.array(amx))
 
 
@@ -309,9 +338,10 @@ def box_extrema_grid(q: ScalarQuadratic, box: Box3, n: int) -> Extrema:
     """Min/max over the n x n x n lattice spanning the box, corners included."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    xs = np.linspace(box.lo[0], box.hi[0], n)
-    ys = np.linspace(box.lo[1], box.hi[1], n)
-    zs = np.linspace(box.lo[2], box.hi[2], n)
+    lo0, lo1, lo2, hi0, hi1, hi2 = box.bounds
+    xs = np.linspace(lo0, hi0, n)
+    ys = np.linspace(lo1, hi1, n)
+    zs = np.linspace(lo2, hi2, n)
     vals = _eval_f(*_unpack(q), *np.meshgrid(xs, ys, zs, indexing="ij", copy=False))
     kmin = np.unravel_index(int(np.argmin(vals)), vals.shape)
     kmax = np.unravel_index(int(np.argmax(vals)), vals.shape)

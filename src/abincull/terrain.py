@@ -250,10 +250,32 @@ class MinMaxPyramid:
         hmin, hmax = self.levels[level]
         return float(hmin[i, j]), float(hmax[i, j])
 
+    def block(self, level: int, i: int, j: int, rows: int, cols: int) -> list[GeoTile]:
+        """Tiles (level, i + a, j + b) for a < rows and b < cols, row by row.
+
+        Bounds come from the indices by ``tile_from_indices``' formula, one
+        ``_interval`` per row and per column; heights come from here.
+        """
+        n_lat, n_lon = _grid_shape(level)
+        if not (0 <= i and 0 < rows and i + rows <= n_lat
+                and 0 <= j and 0 < cols and j + cols <= n_lon):
+            raise ValueError(f"block of {rows}x{cols} tiles at ({i}, {j}) is out "
+                             f"of range for level {level}")
+        lat_lo, lat_hi = self.lat_range
+        lon_lo, lon_hi = self.lon_range
+        lons = [(b, _interval(lon_lo, lon_hi, n_lon, b)) for b in range(j, j + cols)]
+        hmin, hmax = self.levels[level]
+        tiles = []
+        for a in range(i, i + rows):
+            lat = _interval(lat_lo, lat_hi, n_lat, a)
+            for b, lon in lons:
+                tiles.append(GeoTile(level, a, b, lat, lon,
+                                     (hmin.item(a, b), hmax.item(a, b))))
+        return tiles
+
     def tile(self, level: int, i: int, j: int) -> GeoTile:
         """Tile (level, i, j): bounds from its indices, heights from here."""
-        return tile_from_indices(level, i, j, self.lat_range, self.lon_range,
-                                 self.interval(level, i, j))
+        return self.block(level, i, j, 1, 1)[0]
 
 
 def _closed_minmax(h_min: np.ndarray, h_max: np.ndarray, coords: np.ndarray,
@@ -304,12 +326,11 @@ def build_minmax_pyramid(hf: HeightField, cfg: TerrainConfig) -> MinMaxPyramid:
 
 
 def subdivide(tile: GeoTile, pyramid: MinMaxPyramid) -> list[GeoTile]:
-    """The four children of a tile, built by ``pyramid.tile``."""
+    """The four children of a tile as one 2x2 ``pyramid.block``, row by row."""
     if tile.level >= pyramid.max_level:
         raise ValueError(f"tile {tile.tile_id} is already at max level "
                          f"{pyramid.max_level}")
-    return [pyramid.tile(tile.level + 1, 2 * tile.i + a, 2 * tile.j + b)
-            for a in (0, 1) for b in (0, 1)]
+    return pyramid.block(tile.level + 1, 2 * tile.i, 2 * tile.j, 2, 2)
 
 
 def tile_bin(tile: GeoTile, params: GeodeticParams) -> tuple[np.ndarray, Box3]:
@@ -324,10 +345,10 @@ def tile_bin(tile: GeoTile, params: GeodeticParams) -> tuple[np.ndarray, Box3]:
     center = np.array([params.radius_m + 0.5 * (h_lo + h_hi),
                        0.5 * (lat_lo + lat_hi),
                        0.5 * (lon_lo + lon_hi)])
-    half = np.array([0.5 * (h_hi - h_lo),
-                     0.5 * (lat_hi - lat_lo),
-                     0.5 * (lon_hi - lon_lo)])
-    return center, Box3(-half, half)
+    hw0 = 0.5 * (h_hi - h_lo)
+    hw1 = 0.5 * (lat_hi - lat_lo)
+    hw2 = 0.5 * (lon_hi - lon_lo)
+    return center, Box3((-hw0, -hw1, -hw2), (hw0, hw1, hw2))
 
 
 def synth_heightfield(kind: SynthKind | str, rows: int = 257, cols: int = 513,
@@ -548,8 +569,8 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     visible: list[GeoTile] = []
 
     n_lat, n_lon = _grid_shape(cfg.start_level)
-    stack = deque((pyramid.tile(cfg.start_level, i, j), ALL_PLANES)
-                  for i in reversed(range(n_lat)) for j in reversed(range(n_lon)))
+    stack = deque((tile, ALL_PLANES) for tile in
+                  reversed(pyramid.block(cfg.start_level, 0, 0, n_lat, n_lon)))
     while stack:
         tile, planes = stack.pop()
         cls, straddled = classify_tile(tile, frustum, params, method, cfg.cull,

@@ -24,6 +24,17 @@ class TestPlane:
         with pytest.raises(ValueError):
             Plane([1.0, 1.0, 0.0], [0.0, 0.0, 0.0])
 
+    def test_rejects_nan_normal(self):
+        # |n| is NaN, which the unit-length comparison must not let through
+        with pytest.raises(ValueError, match="normal"):
+            Plane([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("point", [[math.inf, 0.0, 0.0], [0.0, math.nan, 0.0]],
+                             ids=["inf", "nan"])
+    def test_rejects_non_finite_point(self, point):
+        with pytest.raises(ValueError, match="point"):
+            Plane([1.0, 0.0, 0.0], point)
+
 
 class TestCameraPose:
     def test_rejects_collinear_up(self):
@@ -44,6 +55,16 @@ class TestCameraPose:
     def test_rejects_bad_aspect(self):
         with pytest.raises(ValueError):
             CameraPose([0, 0, 0], [0, 0, -1], [0, 1, 0], 1.0, 0.0, 1.0, 10.0)
+
+    def test_rejects_infinite_aspect(self):
+        # an infinite aspect gives the side planes non-finite normals
+        with pytest.raises(ValueError, match="aspect"):
+            CameraPose([0, 0, 0], [0, 0, -1], [0, 1, 0], 1.0, math.inf, 1.0, 10.0)
+
+    def test_rejects_infinite_far(self):
+        # an infinite far distance gives the far plane a NaN offset
+        with pytest.raises(ValueError, match="far"):
+            CameraPose([0, 0, 0], [0, 0, -1], [0, 1, 0], 1.0, 1.0, 1.0, math.inf)
 
     @pytest.mark.parametrize("field, value", [
         ("eye", [math.nan, 0, 0]), ("eye", [0, -math.inf, 0]), ("eye", [0, 0]),

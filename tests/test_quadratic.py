@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 
 import numpy as np
@@ -74,6 +76,78 @@ class TestBox3Corners:
         corners = Box3([-1.0, 5.0, 0.0], [1.0, 5.0, 2.0]).corners()
         assert corners.shape == (8, 3)
         assert np.all(corners[:, 1] == 5.0)
+
+
+class TestBox3Values:
+    """Box3 holds its six bounds as Python floats; lo/hi are views built on demand."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 1.0]),
+        ([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]]),
+        ([[0.0], [0.0], [0.0]], [[1.0], [1.0], [1.0]]),
+        (0.0, 1.0),
+    ], ids=["both_2d", "hi_2d", "nested_row", "nested_column", "scalar"])
+    def test_rejects_non_3_vectors(self, lo, hi):
+        with pytest.raises(ValueError):
+            Box3(lo, hi)
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_rejects_lo_above_hi_on_each_axis(self, axis):
+        lo, hi = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+        lo[axis] = 2.0
+        with pytest.raises(ValueError):
+            Box3(lo, hi)
+        with pytest.raises(ValueError):
+            Box3(tuple(lo), tuple(hi))
+
+    def test_nan_bounds_accepted(self):
+        box = Box3((math.nan, 0.0, 0.0), (1.0, math.nan, 1.0))
+        assert math.isnan(box.bounds[0]) and math.isnan(box.bounds[4])
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([-1, 0, 2], [1, 3, 4]),
+        (np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 4.0])),
+        ((np.float64(-1.0), np.float64(0.0), np.float64(2.0)),
+         (np.float64(1.0), np.float64(3.0), np.float64(4.0))),
+        (np.array([-1, 0, 2], dtype=np.int32), np.array([1, 3, 4], dtype=np.int64)),
+    ], ids=["ints", "arrays", "float64_scalars", "int_arrays"])
+    def test_bounds_are_python_floats(self, lo, hi):
+        box = Box3(lo, hi)
+        assert box.bounds == (-1.0, 0.0, 2.0, 1.0, 3.0, 4.0)
+        assert all(type(v) is float for v in box.bounds)
+
+    @pytest.mark.parametrize("make", [tuple, list, np.array])
+    def test_negative_zero_kept(self, make):
+        box = Box3(make([-0.0, -0.0, -0.0]), make([0.0, 0.0, 0.0]))
+        assert [math.copysign(1.0, v) for v in box.bounds] == [-1.0] * 3 + [1.0] * 3
+
+    def test_lo_hi_arrays_bit_equal_to_inputs(self, rng):
+        lo = rng.normal(size=3) - 1.0
+        hi = lo + rng.uniform(0.0, 2.0, size=3)
+        lo[1] = -0.0
+        hi[1] = 0.0
+        box = Box3(lo, hi)
+        assert box.lo.dtype == box.hi.dtype == np.float64
+        assert (box.lo.tobytes(), box.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+        # a new array on each access: writing to one leaves the box as it was
+        box.lo[0] = 99.0
+        assert box.lo.tobytes() == lo.tobytes()
+
+    def test_immutable(self):
+        box = Box3([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        for name, value in (("bounds", (0.0,) * 6), ("lo", np.zeros(3)),
+                            ("other", 1.0)):
+            with pytest.raises(AttributeError):
+                setattr(box, name, value)
+
+    def test_equal_bounds_give_equal_hashable_boxes(self):
+        a = Box3([0, -1.5, 2], [1, 1.5, 2])
+        b = Box3(np.array([0.0, -1.5, 2.0]), (1.0, 1.5, 2.0))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Box3([0, -1.5, 2], [1, 1.5, 3])
+        assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
 
 class TestStationaryPoint:

@@ -141,6 +141,76 @@ class TestSubdivide:
             subdivide(tile, pyramid)
 
 
+def tile_bits(tile):
+    """A tile's indices and the exact bits of its ranges and heights."""
+    return (tile.level, tile.i, tile.j,
+            *(v.hex() for v in (*tile.lat_range, *tile.lon_range, *tile.height_range)))
+
+
+class TestPyramidBlock:
+    @pytest.fixture(params=["orbit_sinusoidal", "full_globe"])
+    def pyramid(self, request, scenarios_dir):
+        if request.param == "orbit_sinusoidal":  # offset lat/lon ranges
+            sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
+            return build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        cfg = TerrainConfig(start_level=2, max_level=6)
+        hf = synth_heightfield("SINUSOIDAL", rows=129, cols=257,
+                               amplitude=4000.0, frequency=6.0)
+        return build_minmax_pyramid(hf, cfg)
+
+    def test_every_tile_bit_equal_to_its_index_formula(self, pyramid):
+        # the reference is the per-tile construction: bounds from
+        # tile_from_indices, heights from pyramid.interval
+        for level in range(pyramid.max_level + 1):
+            n_lat, n_lon = _grid_shape(level)
+            got = pyramid.block(level, 0, 0, n_lat, n_lon)
+            assert [(t.i, t.j) for t in got] == [
+                (i, j) for i in range(n_lat) for j in range(n_lon)]
+            for t in got:
+                want = tile_from_indices(level, t.i, t.j, pyramid.lat_range,
+                                         pyramid.lon_range,
+                                         pyramid.interval(level, t.i, t.j))
+                assert t == want and tile_bits(t) == tile_bits(want), t.tile_id
+                assert tile_bits(pyramid.tile(level, t.i, t.j)) == tile_bits(t)
+
+    def test_sub_blocks_and_children_match_the_whole_level(self, pyramid, rng):
+        level = pyramid.max_level
+        n_lat, n_lon = _grid_shape(level)
+        whole = {(t.i, t.j): t for t in pyramid.block(level, 0, 0, n_lat, n_lon)}
+        for _ in range(50):
+            rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
+            i = int(rng.integers(0, n_lat - rows + 1))
+            j = int(rng.integers(0, n_lon - cols + 1))
+            got = pyramid.block(level, i, j, rows, cols)
+            assert [tile_bits(t) for t in got] == [
+                tile_bits(whole[a, b]) for a in range(i, i + rows)
+                for b in range(j, j + cols)]
+            parent = pyramid.tile(level - 1, i // 2, j // 2)
+            assert [tile_bits(t) for t in subdivide(parent, pyramid)] == [
+                tile_bits(whole[2 * parent.i + a, 2 * parent.j + b])
+                for a in (0, 1) for b in (0, 1)]
+
+    def test_out_of_range_blocks_rejected(self, pyramid):
+        n_lat, n_lon = _grid_shape(2)
+        for i, j, rows, cols in ((-1, 0, 1, 1), (0, -1, 1, 1), (n_lat - 1, 0, 2, 1),
+                                 (0, n_lon - 1, 1, 2), (0, 0, 0, 1), (0, 0, 1, 0)):
+            with pytest.raises(ValueError):
+                pyramid.block(2, i, j, rows, cols)
+
+    def test_traversal_visits_the_start_grid_in_row_order(self, scenarios_dir):
+        sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
+        pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        for method in Method:
+            seen = []
+            traverse(frustum_from_camera(sc.cameras[0]), sc.terrain, pyramid,
+                     sc.geodetic, method, sink=lambda t, c: seen.append(t))
+            start = [t for t in seen if t.level == sc.terrain.start_level]
+            n_lat, n_lon = _grid_shape(sc.terrain.start_level)
+            assert [tile_bits(t) for t in start] == [
+                tile_bits(pyramid.tile(sc.terrain.start_level, i, j))
+                for i in range(n_lat) for j in range(n_lon)]
+
+
 class TestTileBin:
     def test_reference_equatorial_tile(self):
         tile = GeoTile(4, 0, 0, (-0.03125 * PI, 0.03125 * PI),
