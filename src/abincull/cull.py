@@ -35,11 +35,21 @@ the bound and of the kernel's own evaluation (derived in
 ``_classify_bin_scalars``), so the verdicts and straddle masks are the
 kernel's own.  On the benchmark's orbit frames the bound decides about
 three quarters of the plane tests.
+
+A plane the bound leaves undecided then gets a corner bracket: s at the 8
+box corners, from products the bound already holds.  Both kernels evaluate
+those corners among their candidates, so a d that lies inside the corner
+range by more than eps straddles for the kernel too, and the plane gets its
+straddle bit without a kernel call.  What is left for the kernel (a corner
+range that misses d, a d within eps of its ends, non-finite terms, and
+uncentred boxes) is about 0.02 calls per visited tile on the benchmark's
+frames.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .frustum import Frustum, Plane
@@ -108,8 +118,8 @@ class CullConfig:
 
 def inflate_bin(bin_box: Box3, factor: float) -> Box3:
     """Scale the box about its center, multiplying each half-width by factor."""
-    if factor < 1.0:
-        raise ValueError(f"inflation factor must be >= 1, got {factor}")
+    if not 1.0 <= factor < math.inf:
+        raise ValueError(f"inflation factor must be finite and >= 1, got {factor}")
     lo0, lo1, lo2, hi0, hi1, hi2 = bin_box.bounds
     # per axis the same IEEE operations as center -+ half_widths * factor
     c0, c1, c2 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
@@ -207,6 +217,27 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
     that sum by five orders of magnitude, and so also covers the rounding
     of eps itself.  A NaN or infinite term fails both comparisons, so the
     kernel decides.  An uncentred box goes straight to the kernel.
+
+    Corner bracket.  A plane the bound leaves undecided is next evaluated
+    at the 8 corners sigma o w (sigma in {-1, 1}^3): with a_i = b_i w_i,
+    c_ij = h_ij w_i w_j (the products in T_lin) and Q = sum q_i,
+
+        s(sigma o w) = Q + sum sigma_i a_i + sum_{i<j} sigma_i sigma_j c_ij.
+
+    Per sign of x2 the four corners pair up as +-(u0 + u1) and +-(u0 - u1)
+    with u_i = a_i + sigma_2 c_i2, so the corner range [cmin, cmax] takes
+    about twenty additions.  If cmin + eps <= d <= cmax - eps the plane
+    straddles: its bit is set and the kernel is skipped.  Both kernels
+    evaluate all 8 corners among their candidates, so their [mn, mx]
+    contains the corner values they compute.  Each computed corner value,
+    here and in the kernel, is a sum of the same 9 products in some order,
+    so each is off from the exact value by at most 2 gamma_10 T as above,
+    and the two differ by at most 4 gamma_10 T, five orders of magnitude
+    below eps.  So mn < d < mx, and the kernel also finds the plane
+    straddled.  This, like the bound, assumes that no intermediate product
+    overflows.  A corner range that misses d, a d within eps of its ends,
+    and NaN or infinite terms (eps is then NaN or infinite and both
+    comparisons fail) go to the kernel.
     """
     extrema = _EXTREMA[mode]
     active = _ACTIVE_PLANES[planes]
@@ -219,14 +250,28 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
     for k, (b0, b1, b2, h00, h01, h02, h11, h12, h22, d) in zip(active, _plane_terms(
             value, jac, h_x, h_y, h_z, map(frustum.plane_scalars.__getitem__, active))):
         if centred:
-            lin = (abs(b0) * w0 + abs(b1) * w1 + abs(b2) * w2
-                   + abs(h01) * w01 + abs(h02) * w02 + abs(h12) * w12)
+            a0, a1, a2 = b0 * w0, b1 * w1, b2 * w2
+            c01, c02, c12 = h01 * w01, h02 * w02, h12 * w12
+            lin = (abs(a0) + abs(a1) + abs(a2)
+                   + abs(c01) + abs(c02) + abs(c12))
             q0, q1, q2 = h00 * sq0, h11 * sq1, h22 * sq2
             qs, qa = q0 + q1 + q2, abs(q0) + abs(q1) + abs(q2)
             eps = _PRETEST_REL * (lin + qa + abs(d))
             if lin + 0.5 * (qs + qa) + eps < d:
                 return Classification.OUTSIDE, 0
             if d < 0.5 * (qs - qa) - lin - eps:
+                continue
+            # corner bracket: with e, f = a2 + c01, a2 - c01 the corners are
+            # qs + e +- (u + v) and qs + f +- (u - v) at x2 = +w2, and
+            # qs - f +- (u + v) and qs - e +- (u - v) at x2 = -w2
+            u, v = a0 + c02, a1 + c12      # x2 = +w2
+            up, um = abs(u + v), abs(u - v)
+            u, v = a0 - c02, a1 - c12      # x2 = -w2
+            vp, vm = abs(u + v), abs(u - v)
+            e, f = a2 + c01, a2 - c01
+            if (qs + min(e - up, f - um, -f - vp, -e - vm) + eps <= d
+                    <= qs + max(e + up, f + um, vp - f, vm - e) - eps):
+                straddled |= 1 << k
                 continue
         mn, mx, _, _ = extrema(0.0, b0, b1, b2,
                                h00, h01, h02, h11, h12, h22,

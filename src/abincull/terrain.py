@@ -87,7 +87,7 @@ def _check_angle_ranges(lat_range: tuple[float, float],
         raise ValueError(f"longitude range outside [-pi, pi]: {lon_range}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeoTile:
     """Quadtree tile: angular rectangle plus its height interval."""
 
@@ -98,13 +98,21 @@ class GeoTile:
     lon_range: tuple[float, float]
     height_range: tuple[float, float]
 
-    def __post_init__(self):
-        if self.level < 0 or self.i < 0 or self.j < 0:
+    def __init__(self, level: int, i: int, j: int, lat_range: tuple[float, float],
+                 lon_range: tuple[float, float], height_range: tuple[float, float]):
+        if level < 0 or i < 0 or j < 0:
             raise ValueError("level and indices must be non-negative")
-        _check_angle_ranges(self.lat_range, self.lon_range)
-        h_lo, h_hi = self.height_range
+        _check_angle_ranges(lat_range, lon_range)
+        h_lo, h_hi = height_range
         if h_lo > h_hi:
             raise ValueError("height interval inverted")
+        # every visited tile is built here: item stores into __dict__ skip
+        # the frozen __setattr__, cost far less than six object.__setattr__
+        # calls and, unlike assigning a dict literal, keep the keys shared
+        fields = self.__dict__
+        fields["level"], fields["i"], fields["j"] = level, i, j
+        fields["lat_range"], fields["lon_range"] = lat_range, lon_range
+        fields["height_range"] = height_range
 
     @property
     def tile_id(self) -> str:
@@ -256,6 +264,9 @@ class MinMaxPyramid:
         Bounds come from the indices by ``tile_from_indices``' formula, one
         ``_interval`` per row and per column; heights come from here.
         """
+        if not 0 <= level <= self.max_level:
+            raise ValueError(f"level {level} is outside 0..max_level "
+                             f"(max_level {self.max_level})")
         n_lat, n_lon = _grid_shape(level)
         if not (0 <= i and 0 < rows and i + rows <= n_lat
                 and 0 <= j and 0 < cols and j + cols <= n_lon):

@@ -62,6 +62,16 @@ class TestInflateBin:
         with pytest.raises(ValueError):
             inflate_bin(HALF_BOX, 0.9)
 
+    def test_rejects_nan_factor(self):
+        # a NaN factor used to give an all-NaN box
+        with pytest.raises(ValueError, match="nan"):
+            inflate_bin(Box3((-1.0, 0.0, -1.0), (1.0, 0.0, 1.0)), math.nan)
+
+    def test_rejects_infinite_factor(self):
+        # an infinite factor used to give NaN bounds on the zero-width axis
+        with pytest.raises(ValueError, match="inf"):
+            inflate_bin(Box3((-1.0, 0.0, -1.0), (1.0, 0.0, 1.0)), math.inf)
+
 
 class TestCullConfig:
     def test_rejects_out_of_range_inflation(self):
@@ -309,6 +319,28 @@ def _one_plane_frustum(b, h, d):
     return rows, SimpleNamespace(plane_scalars=((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),) * 6)
 
 
+def _one_plane_vs_kernel_only(b, h, d, half, mode, kernel_calls):
+    """(got, want, kernel calls of got) for the one-plane stand-in over the
+    centred box with half-widths half: got from _classify_bin_scalars, want
+    from the public kernel-only API."""
+    state = classify_against_plane(ScalarQuadratic(0.0, b, h), d,
+                                   Box3([-w for w in half], half), mode)
+    want = {PlaneState.FULLY_OUTSIDE: (Classification.OUTSIDE, 0),
+            PlaneState.FULLY_INSIDE: (Classification.INSIDE, 0)}.get(
+                state, (Classification.INTERSECT, 1))
+    rows, frustum = _one_plane_frustum(b, h, d)
+    before = kernel_calls[mode]
+    got = _classify_bin_scalars(*rows, *(-w for w in half), *half, frustum, mode, 1)
+    return got, want, kernel_calls[mode] - before
+
+
+def _ulps(v, n):
+    """v moved n floats up (n > 0) or down."""
+    for _ in range(abs(n)):
+        v = math.nextafter(v, math.copysign(math.inf, n))
+    return v
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Count the extrema kernel calls of _classify_bin_scalars, per mode."""
@@ -393,6 +425,59 @@ class TestIntervalPretest:
                                     frustum, mode, 1)
         assert got == (Classification.INTERSECT, 1)
         assert kernel_calls[mode] == 1
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_corner_bracket_decides_straddles(self, mode, kernel_calls):
+        # over [-1, 1]^3, s(x) = x0 has corner range [-1, 1] and eps ~ 1e-9;
+        # s(x) = x0 -+ x1^2 / 2 has corner range [-1.5, 0.5] (maximum 1) and
+        # [-0.5, 1.5] (minimum -1)
+        linear = ([1.0, 0.0, 0.0], [[0.0] * 3] * 3)
+        concave = ([1.0, 0.0, 0.0], [[0.0] * 3, [0.0, -1.0, 0.0], [0.0] * 3])
+        convex = ([1.0, 0.0, 0.0], [[0.0] * 3, [0.0, 1.0, 0.0], [0.0] * 3])
+        cases = [(linear, 0.0, 0), (linear, 0.5, 0), (linear, 1.0 - 1e-6, 0),
+                 (linear, 1.0 - 1e-10, 1), (linear, -1.0 + 1e-10, 1),
+                 (concave, -1.2, 0), (concave, 0.3, 0), (concave, 0.8, 1),
+                 (convex, 1.2, 0), (convex, -0.3, 0), (convex, -0.8, 1)]
+        for (b, h), d, calls in cases:
+            got, want, got_calls = _one_plane_vs_kernel_only(b, h, d, [1.0] * 3, mode,
+                                                             kernel_calls)
+            assert (got, got_calls) == (want, calls), (h, d)
+            if not calls:
+                assert got == (Classification.INTERSECT, 1), (h, d)
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_non_finite_terms_reach_kernel(self, mode, kernel_calls):
+        zero = [[0.0] * 3 for _ in range(3)]
+        h01_inf = [[0.0, math.inf, 0.0], [math.inf, 0.0, 0.0], [0.0] * 3]
+        h00_nan = [[math.nan, 0.0, 0.0], [0.0] * 3, [0.0] * 3]
+        cases = [([math.nan, 0.0, 0.0], zero, 0.0), ([0.0, math.inf, 0.0], zero, 0.0),
+                 ([1.0, 0.0, 0.0], h01_inf, 0.0), ([1.0, 0.0, 0.0], h00_nan, 0.0),
+                 ([1.0, 0.0, 0.0], zero, math.inf), ([1.0, 0.0, 0.0], zero, -math.inf)]
+        for b, h, d in cases:
+            got, want, calls = _one_plane_vs_kernel_only(b, h, d, [1.0] * 3, mode,
+                                                         kernel_calls)
+            assert (got, calls) == (want, 1), (b, h, d)
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_d_at_corner_values_matches_kernel_only(self, mode, rng, kernel_calls):
+        # d at each corner value of s and a few ulps either side: the bracket
+        # decides the corners strictly inside the range, the kernel the rest,
+        # and every verdict and straddle mask is the kernel's own
+        tests = decided = 0
+        for k in range(150):
+            q = dataclasses.replace(random_quadratic(rng), constant=0.0)
+            half = rng.uniform(0.05, 3.0, size=3)
+            if k % 3 == 0:
+                half[rng.integers(0, 3)] = 0.0
+            b, h = q.linear.tolist(), q.hessian.tolist()
+            for v in q.value(Box3(-half, half).corners()).tolist():
+                for d in (v, *(_ulps(v, n) for n in (-3, -1, 1, 3))):
+                    got, want, calls = _one_plane_vs_kernel_only(b, h, d, half.tolist(),
+                                                                 mode, kernel_calls)
+                    assert got == want, (k, d)
+                    tests += 1
+                    decided += calls == 0
+        assert 0 < decided < tests
 
     def test_uncentred_box_reaches_kernel(self, canonical_frustum, kernel_calls):
         jet = identity_jet([0.0, 0.0, -50.0])

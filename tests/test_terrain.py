@@ -197,6 +197,14 @@ class TestPyramidBlock:
             with pytest.raises(ValueError):
                 pyramid.block(2, i, j, rows, cols)
 
+    def test_levels_beyond_the_pyramid_rejected(self, pyramid):
+        # above max_level the level list used to raise IndexError
+        for level in (pyramid.max_level + 1, -1):
+            with pytest.raises(ValueError, match=f"level {level} .*max_level {pyramid.max_level}"):
+                pyramid.block(level, 0, 0, 1, 1)
+            with pytest.raises(ValueError, match=f"max_level {pyramid.max_level}"):
+                pyramid.tile(level, 0, 0)
+
     def test_traversal_visits_the_start_grid_in_row_order(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
         pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
