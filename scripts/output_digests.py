@@ -7,6 +7,11 @@ wall times) and one combined digest over all of them.  Each compare's stdout
 is digested as ``compare_<scenario>/stdout.txt``.  Two checkouts whose
 combined digests agree produce byte-identical outputs.
 
+Before the combined line it prints one ``pyramid_<scenario>`` line per
+scenario: the sha256 of every level's ``hmin`` then ``hmax`` as ``<f8``
+bytes, level 0 first, and the pyramid's ``empty_tiles``.  These lines are
+not part of the combined digest.
+
     python scripts/output_digests.py              # this checkout
     python scripts/output_digests.py OTHER_CHECKOUT   # its src/ and scenarios/
 """
@@ -39,6 +44,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.checkout / "src"))
     from abincull.cli import main as abincull_main
+    from abincull.scenario import load_scenario
+    from abincull.terrain import build_minmax_pyramid
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -61,6 +68,16 @@ def main(argv=None) -> int:
             line = f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
             print(line)
             combined.update((line + "\n").encode())
+
+    for name in dict.fromkeys(name for _, name in RUNS):
+        path = args.checkout / "scenarios" / f"{name}.json"
+        scenario = load_scenario(path)
+        pyramid = build_minmax_pyramid(scenario.build_heightfield(path.parent), scenario.terrain)
+        levels = hashlib.sha256()
+        for hmin, hmax in pyramid.levels:
+            levels.update(hmin.astype("<f8").tobytes())
+            levels.update(hmax.astype("<f8").tobytes())
+        print(f"{levels.hexdigest()}  pyramid_{name}  empty_tiles={pyramid.empty_tiles}")
     print(f"{combined.hexdigest()}  combined")
     return 0
 

@@ -17,6 +17,7 @@ import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,13 @@ class MinMaxPyramid:
     tile's closed rectangle, so an on-edge sample counts for every tile on
     that edge; coarser intervals are the hull of the four children.  Tiles
     with no samples get [0, 0] and are counted in ``empty_tiles``.
+
+    ``build_minmax_pyramid`` reduces the samples one axis at a time,
+    longitude first, each by one gather of every tile column's (then row's)
+    run of samples and one min/max reduce over the run (``_closed_minmax``);
+    a stage's gather holds at most (longest run x non-empty intervals)
+    slices.  Each coarser level is the elementwise min/max of the finer
+    level's four strided quarters.
     """
 
     def __init__(self, levels, empty_tiles: int,
@@ -254,7 +262,22 @@ class MinMaxPyramid:
         self.lon_range = lon_range
         self.max_level = len(levels) - 1
 
+    def _check_block(self, level: int, i: int, j: int, rows: int,
+                     cols: int) -> tuple[int, int]:
+        """Level ``level``'s grid shape, once tiles (level, i + a, j + b) for
+        a < rows and b < cols are known to exist; ``ValueError`` otherwise."""
+        if not 0 <= level <= self.max_level:
+            raise ValueError(f"level {level} is outside 0..max_level "
+                             f"(max_level {self.max_level})")
+        n_lat, n_lon = _grid_shape(level)
+        if not (0 <= i and 0 < rows and i + rows <= n_lat
+                and 0 <= j and 0 < cols and j + cols <= n_lon):
+            raise ValueError(f"block of {rows}x{cols} tiles at ({i}, {j}) is out "
+                             f"of range for level {level}")
+        return n_lat, n_lon
+
     def interval(self, level: int, i: int, j: int) -> tuple[float, float]:
+        self._check_block(level, i, j, 1, 1)
         hmin, hmax = self.levels[level]
         return float(hmin[i, j]), float(hmax[i, j])
 
@@ -264,14 +287,7 @@ class MinMaxPyramid:
         Bounds come from the indices by ``tile_from_indices``' formula, one
         ``_interval`` per row and per column; heights come from here.
         """
-        if not 0 <= level <= self.max_level:
-            raise ValueError(f"level {level} is outside 0..max_level "
-                             f"(max_level {self.max_level})")
-        n_lat, n_lon = _grid_shape(level)
-        if not (0 <= i and 0 < rows and i + rows <= n_lat
-                and 0 <= j and 0 < cols and j + cols <= n_lon):
-            raise ValueError(f"block of {rows}x{cols} tiles at ({i}, {j}) is out "
-                             f"of range for level {level}")
+        n_lat, n_lon = self._check_block(level, i, j, rows, cols)
         lat_lo, lat_hi = self.lat_range
         lon_lo, lon_hi = self.lon_range
         lons = [(b, _interval(lon_lo, lon_hi, n_lon, b)) for b in range(j, j + cols)]
@@ -290,22 +306,27 @@ class MinMaxPyramid:
 
 
 def _closed_minmax(h_min: np.ndarray, h_max: np.ndarray, coords: np.ndarray,
-                   edges: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min of ``h_min`` and max of ``h_max`` (2D) along ``axis`` over the
-    samples whose ascending ``coords`` lie in each closed interval
-    [edges[k], edges[k+1]]; an interval with no sample gives +inf / -inf."""
+                   edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min of ``h_min`` and max of ``h_max`` (2D) along axis 0 over the rows
+    whose ascending ``coords`` lie in each closed interval
+    [edges[k], edges[k+1]] that holds at least one, and the indices k of
+    those intervals.
+
+    One gather and one reduce per array: ``idx[k, t] = min(start_k + t,
+    stop_k - 1)`` for ``t`` below the longest run, so a shorter run repeats
+    its last row, and ``a[idx]`` is reduced over ``t``.  Empty intervals are
+    left out, so the gather holds at most (longest run x non-empty
+    intervals) rows however many empty intervals lie off the field.
+    """
     start = np.searchsorted(coords, edges[:-1], side="left")
     stop = np.searchsorted(coords, edges[1:], side="right")
-    # the even outputs of reduceat over interleaved (start, stop) pairs reduce
-    # [start, stop); one pad element keeps every stop a valid index
-    bounds = np.column_stack((start, stop)).ravel()
-    empty = np.expand_dims(start == stop, 1 - axis)
-    out = []
-    for ufunc, values, fill in ((np.minimum, h_min, np.inf), (np.maximum, h_max, -np.inf)):
-        padded = np.pad(values, [(0, int(a == axis)) for a in (0, 1)], constant_values=fill)
-        reduced = ufunc.reduceat(padded, bounds, axis=axis)
-        out.append(np.where(empty, fill, reduced.take(np.arange(0, bounds.size, 2), axis=axis)))
-    return tuple(out)
+    full = np.flatnonzero(start < stop)
+    span = (stop - start).max(initial=1)
+    idx = np.minimum(start[full, None] + np.arange(span), stop[full, None] - 1)
+    # reducing one array both ways (the first stage) needs one gather
+    runs_min = h_min[idx]
+    runs_max = runs_min if h_max is h_min else h_max[idx]
+    return np.minimum.reduce(runs_min, axis=1), np.maximum.reduce(runs_max, axis=1), full
 
 
 def build_minmax_pyramid(hf: HeightField, cfg: TerrainConfig) -> MinMaxPyramid:
@@ -313,27 +334,27 @@ def build_minmax_pyramid(hf: HeightField, cfg: TerrainConfig) -> MinMaxPyramid:
     lat_edges = _edges(cfg.lat_range[0], cfg.lat_range[1], n_lat)
     lon_edges = _edges(cfg.lon_range[0], cfg.lon_range[1], n_lon)
     # separable: a sample is in tile (i, j)'s closed rectangle exactly when
-    # its latitude is in row i's interval and its longitude in column j's
-    row_min, row_max = _closed_minmax(hf.samples, hf.samples, hf.sample_lons(),
-                                      lon_edges, axis=1)
+    # its latitude is in row i's interval and its longitude in column j's.
+    # Longitude first, so the first stage keeps (longitude tiles x sample rows)
+    columns = hf.samples.T
+    col_min, col_max, lon_full = _closed_minmax(columns, columns, hf.sample_lons(), lon_edges)
     # rows run north to south, so latitudes ascend over the reversed rows
-    hmin, hmax = _closed_minmax(row_min[::-1], row_max[::-1], hf.sample_lats()[::-1],
-                                lat_edges, axis=0)
-
-    empty = ~np.isfinite(hmin)
-    empty_tiles = int(empty.sum())
-    hmin[empty] = 0.0
-    hmax[empty] = 0.0
+    tile_min, tile_max, lat_full = _closed_minmax(col_min.T[::-1], col_max.T[::-1],
+                                                  hf.sample_lats()[::-1], lat_edges)
+    # by the same separability a tile holds a sample exactly when its row
+    # and its column do; the others get [0, 0] and are counted as empty
+    hmin, hmax = np.zeros((2, n_lat, n_lon))
+    hmin[np.ix_(lat_full, lon_full)] = tile_min
+    hmax[np.ix_(lat_full, lon_full)] = tile_max
 
     levels = [(hmin, hmax)]
-    for level in range(cfg.max_level - 1, -1, -1):
-        nl, nn = _grid_shape(level)
-        child_min, child_max = levels[0]
-        levels.insert(0, (
-            child_min.reshape(nl, 2, nn, 2).min(axis=(1, 3)),
-            child_max.reshape(nl, 2, nn, 2).max(axis=(1, 3)),
-        ))
-    return MinMaxPyramid(levels, empty_tiles, cfg.lat_range, cfg.lon_range)
+    for _ in range(cfg.max_level):
+        # a parent is the hull of its four children, the strided quarters
+        # [a::2, b::2] of the finer level
+        levels.insert(0, tuple(
+            reduce(ufunc, (child[a::2, b::2] for a in (0, 1) for b in (0, 1)))
+            for ufunc, child in zip((np.minimum, np.maximum), levels[0])))
+    return MinMaxPyramid(levels, hmin.size - tile_min.size, cfg.lat_range, cfg.lon_range)
 
 
 def subdivide(tile: GeoTile, pyramid: MinMaxPyramid) -> list[GeoTile]:

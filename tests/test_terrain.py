@@ -205,6 +205,13 @@ class TestPyramidBlock:
             with pytest.raises(ValueError, match=f"max_level {pyramid.max_level}"):
                 pyramid.tile(level, 0, 0)
 
+    def test_interval_outside_the_pyramid_rejected(self, pyramid):
+        # negative indices used to answer for other tiles, and a level above
+        # max_level raised IndexError
+        for level, i, j in ((-1, 3, 5), (2, -1, 0), (pyramid.max_level + 1, 0, 0)):
+            with pytest.raises(ValueError):
+                pyramid.interval(level, i, j)
+
     def test_traversal_visits_the_start_grid_in_row_order(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
         pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
@@ -332,7 +339,7 @@ class TestMinMaxPyramid:
         assert hmax.max() == 777.0
 
     @pytest.mark.parametrize("case", ["on_edges", "partial", "one_row", "one_col",
-                                      "orbit_sinusoidal"])
+                                      "orbit_sinusoidal", "long_runs"])
     def test_finest_level_equals_closed_rectangle_rule(self, rng, scenarios_dir, case):
         # brute force: each tile's min/max over the samples whose latitude
         # and longitude lie in its closed intervals; [0, 0] and counted
@@ -351,6 +358,12 @@ class TestMinMaxPyramid:
                 rows = 1
             elif case == "one_col":
                 cols = 1
+            elif case == "long_runs":
+                # 13-48 samples per tile along each axis
+                level = int(rng.integers(0, 3))
+                cfg = TerrainConfig(start_level=0, max_level=level)
+                rows = int(rng.integers(12, 48)) * 2 ** level + 1
+                cols = int(rng.integers(12, 48)) * 2 ** (level + 1) + 1
             else:
                 terrain = load_scenario(scenarios_dir / "orbit_sinusoidal.json").terrain
                 cfg = TerrainConfig(0, level, terrain.lat_range, terrain.lon_range)
