@@ -41,18 +41,23 @@ DEFAULT_ORACLE_LATTICE = (33, 33, 5)
 def world_aabb_of_bin(map_fn, center, bin_offsets: Box3) -> Box3:
     """Hull of the true-mapped corners of an (uninflated) bin.
 
-    map_fn receives a sequence of 8 points, the bin's parameter-space corners
-    as (r, lat, lon) 3-tuples in ``Box3.corners()`` order, and returns their 8
-    world points (an (8, 3) array or a sequence of 3-sequences).  Only the 8
-    corners are mapped, so for curved mappings the interior of the image may
-    stick out of the returned box.
+    map_fn receives a list of 8 points, the bin's parameter-space corners as
+    (r, lat, lon) 3-tuples in ``Box3.corners()`` order, and returns their 8
+    world points: an (8, 3) array or a sequence of float 3-sequences.  Only
+    the 8 corners are mapped, so for curved mappings the interior of the
+    image may stick out of the returned box.
     """
     c0, c1, c2 = center
     lo0, lo1, lo2, hi0, hi1, hi2 = bin_offsets.bounds
-    corners = [(a, b, c) for a in (c0 + lo0, c0 + hi0)
-               for b in (c1 + lo1, c1 + hi1) for c in (c2 + lo2, c2 + hi2)]
-    xs, ys, zs = zip(*map_fn(corners))
-    return Box3((min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs)))
+    r0, r1 = c0 + lo0, c0 + hi0
+    a0, a1 = c1 + lo1, c1 + hi1
+    b0, b1 = c2 + lo2, c2 + hi2
+    points = map_fn([(r0, a0, b0), (r0, a0, b1), (r0, a1, b0), (r0, a1, b1),
+                     (r1, a0, b0), (r1, a0, b1), (r1, a1, b0), (r1, a1, b1)])
+    if isinstance(points, np.ndarray):
+        points = points.tolist()
+    xs, ys, zs = zip(*points)
+    return Box3._from_floats(min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
 
 
 def classify_aabb8(box: Box3, frustum: Frustum) -> Classification:

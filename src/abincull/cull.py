@@ -114,6 +114,9 @@ class CullConfig:
     def __post_init__(self):
         if not 1.0 <= self.inflation <= 2.0:
             raise ValueError(f"inflation must be in [1, 2], got {self.inflation}")
+        if not isinstance(self.extrema_mode, ExtremaMode):
+            raise ValueError(f"extrema_mode must be an ExtremaMode, got "
+                             f"{self.extrema_mode!r}")
 
 
 def inflate_bin(bin_box: Box3, factor: float) -> Box3:
@@ -189,7 +192,8 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
     """Scalar-path classification over an already-inflated offset box.
 
     value / jac / h_* are plain float rows as produced by the jet builders;
-    the box bounds are floats.  Only the planes whose bit is set in the
+    the box bounds are floats; ``mode`` is an ``ExtremaMode``, as
+    ``CullConfig`` checks.  Only the planes whose bit is set in the
     ``planes`` mask (bit k for ``frustum.plane_scalars[k]``) are tested.
     Returns the verdict and the mask of tested planes the image straddles;
     early-exits with mask 0 on the first separating plane.
@@ -239,7 +243,6 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
     and NaN or infinite terms (eps is then NaN or infinite and both
     comparisons fail) go to the kernel.
     """
-    extrema = _EXTREMA[mode]
     active = _ACTIVE_PLANES[planes]
     straddled = 0
     centred = lo0 == -hi0 and lo1 == -hi1 and lo2 == -hi2
@@ -273,9 +276,11 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
                     <= qs + max(e + up, f + um, vp - f, vm - e) - eps):
                 straddled |= 1 << k
                 continue
-        mn, mx, _, _ = extrema(0.0, b0, b1, b2,
-                               h00, h01, h02, h11, h12, h22,
-                               lo0, lo1, lo2, hi0, hi1, hi2)
+        # looked up here, not per tile: few tiles reach the kernel, and
+        # hashing an Enum member runs a Python-level __hash__
+        mn, mx, _, _ = _EXTREMA[mode](0.0, b0, b1, b2,
+                                      h00, h01, h02, h11, h12, h22,
+                                      lo0, lo1, lo2, hi0, hi1, hi2)
         if mx < d and mn <= mx:
             return Classification.OUTSIDE, 0
         # a NaN d, or no candidate value at all (mn > mx: every one was

@@ -95,16 +95,27 @@ def sphere_point(params: GeodeticParams, x) -> np.ndarray:
                      r * clat * np.cos(lon)], axis=-1)
 
 
-def _sphere_point_rows(points) -> list[tuple[float, float, float]]:
-    """``sphere_point`` on a sequence of float (r, lat, lon) triples.
+def _sphere_point_rows(corners) -> list[tuple[float, float, float]]:
+    """``sphere_point`` on the 8 corners of a box, given as float
+    (r, lat, lon) triples in ``Box3.corners()`` order (radius outermost,
+    longitude innermost), as ``world_aabb_of_bin`` passes them.
 
-    Returns plain float triples, computed with ``math`` in ``sphere_point``'s
-    order of operations.
+    Reads the two radii, latitudes and longitudes from the first and last
+    corner and takes sin and cos once per latitude and longitude.  Each
+    point is computed with ``math`` in ``sphere_point``'s order of
+    operations, ``(r cos lat) sin lon``, ``r sin lat``, ``(r cos lat) cos lon``,
+    so it has ``sphere_point``'s bits.  Returns plain float triples.
     """
+    r0, lat0, lon0 = corners[0]
+    r1, lat1, lon1 = corners[7]
+    lats = (math.sin(lat0), math.cos(lat0)), (math.sin(lat1), math.cos(lat1))
+    s0, c0 = math.sin(lon0), math.cos(lon0)
+    s1, c1 = math.sin(lon1), math.cos(lon1)
     out = []
-    for r, lat, lon in points:
-        clat = math.cos(lat)
-        out.append((r * clat * math.sin(lon), r * math.sin(lat), r * clat * math.cos(lon)))
+    for r in (r0, r1):
+        for s_lat, c_lat in lats:
+            rc, y = r * c_lat, r * s_lat
+            out += (rc * s0, y, rc * c0), (rc * s1, y, rc * c1)
     return out
 
 

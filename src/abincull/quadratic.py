@@ -108,6 +108,18 @@ class Box3:
             raise ValueError(f"invalid box: lo {lo} exceeds hi {hi}")
         object.__setattr__(self, "bounds", lo + hi)
 
+    @classmethod
+    def _from_floats(cls, lo0: float, lo1: float, lo2: float,
+                     hi0: float, hi1: float, hi2: float) -> Box3:
+        """Box over six bounds the caller knows to be Python floats, stored
+        as they are; an inverted axis still raises ``ValueError``."""
+        if lo0 > hi0 or lo1 > hi1 or lo2 > hi2:
+            raise ValueError(f"invalid box: lo {(lo0, lo1, lo2)} exceeds hi "
+                             f"{(hi0, hi1, hi2)}")
+        box = object.__new__(cls)
+        object.__setattr__(box, "bounds", (lo0, lo1, lo2, hi0, hi1, hi2))
+        return box
+
     def __reduce__(self):  # copy and pickle cannot set a frozen slot
         return Box3, (self.bounds[:3], self.bounds[3:])
 

@@ -15,9 +15,9 @@ import enum
 import math
 import struct
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -240,10 +240,10 @@ def root_tiles(cfg: TerrainConfig) -> list[GeoTile]:
 class MinMaxPyramid:
     """Per-level, per-tile terrain height intervals over fixed lat/lon ranges.
 
-    Levels 0..max_level are stored as (h_min, h_max) array pairs of the
-    level's grid shape.  Finest-level intervals span the samples in each
-    tile's closed rectangle, so an on-edge sample counts for every tile on
-    that edge; coarser intervals are the hull of the four children.  Tiles
+    Levels 0..max_level are stored as read-only (h_min, h_max) array pairs
+    of the level's grid shape.  Finest-level intervals span the samples in
+    each tile's closed rectangle, so an on-edge sample counts for every tile
+    on that edge; coarser intervals are the hull of the four children.  Tiles
     with no samples get [0, 0] and are counted in ``empty_tiles``.
 
     ``build_minmax_pyramid`` reduces the samples one axis at a time,
@@ -256,11 +256,16 @@ class MinMaxPyramid:
 
     def __init__(self, levels, empty_tiles: int,
                  lat_range: tuple[float, float], lon_range: tuple[float, float]):
-        self.levels = levels
+        # read-only, so that the cached start grids cannot go stale
+        for pair in levels:
+            for heights in pair:
+                heights.flags.writeable = False
+        self.levels = tuple(levels)
         self.empty_tiles = empty_tiles
         self.lat_range = lat_range
         self.lon_range = lon_range
         self.max_level = len(levels) - 1
+        self._start_grids: dict[int, tuple[GeoTile, ...]] = {}
 
     def _check_block(self, level: int, i: int, j: int, rows: int,
                      cols: int) -> tuple[int, int]:
@@ -303,6 +308,16 @@ class MinMaxPyramid:
     def tile(self, level: int, i: int, j: int) -> GeoTile:
         """Tile (level, i, j): bounds from its indices, heights from here."""
         return self.block(level, i, j, 1, 1)[0]
+
+    def start_grid(self, level: int) -> tuple[GeoTile, ...]:
+        """Level ``level``'s whole grid, ``block(level, 0, 0, n_lat, n_lon)``,
+        built on the first call for that level and then shared by every
+        traversal that starts there."""
+        grid = self._start_grids.get(level)
+        if grid is None:
+            grid = tuple(self.block(level, 0, 0, *_grid_shape(level)))
+            self._start_grids[level] = grid
+        return grid
 
 
 def _closed_minmax(h_min: np.ndarray, h_max: np.ndarray, coords: np.ndarray,
@@ -569,21 +584,25 @@ def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
                                        -hw0, -hw1, -hw2, hw0, hw1, hw2,
                                        frustum, cull.extrema_mode,
                                        ALL_PLANES if planes is None else planes)
-    else:
+    elif method is Method.AABB8:
         box = world_aabb_of_bin(_sphere_point_rows, (c0, c1, c2),
-                                Box3((-hw0, -hw1, -hw2), (hw0, hw1, hw2)))
+                                Box3._from_floats(-hw0, -hw1, -hw2, hw0, hw1, hw2))
         result = classify_aabb8(box, frustum), ALL_PLANES
+    else:
+        raise ValueError(f"method must be a Method, got {method!r}")
     return result[0] if planes is None else result
 
 
 def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
              params: GeodeticParams, method: Method,
              sink=None) -> tuple[list[GeoTile], TraversalStats]:
-    """Recursive visibility traversal from the start-level grid.
+    """Depth-first visibility traversal from the start-level grid.
 
-    OUTSIDE tiles are pruned; INSIDE tiles are emitted without visiting
-    their subtree; straddling tiles recurse until max_level, where they are
-    emitted as visible leaves.  ``sink(tile, classification)``, when given,
+    The grid is ``pyramid.start_grid(cfg.start_level)``, built once per
+    pyramid and level; ``method`` must be a ``Method``.  OUTSIDE tiles are
+    pruned; INSIDE tiles are emitted without visiting their subtree;
+    straddling tiles recurse until max_level, where they are emitted as
+    visible leaves.  ``sink(tile, classification)``, when given,
     observes every classified tile.
 
     Each stacked tile carries a plane mask (Assarsson & Moeller's plane
@@ -596,34 +615,41 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
         raise ValueError("pyramid is shallower than cfg.max_level")
     if (pyramid.lat_range, pyramid.lon_range) != (cfg.lat_range, cfg.lon_range):
         raise ValueError("pyramid was built over other lat/lon ranges than cfg")
+    if not isinstance(method, Method):
+        raise ValueError(f"method must be a Method, got {method!r}")
     t0 = time.perf_counter_ns()
-    stats = TraversalStats()
+    max_level = cfg.max_level
+    cull = cfg.cull
     visible: list[GeoTile] = []
-
-    n_lat, n_lon = _grid_shape(cfg.start_level)
-    stack = deque((tile, ALL_PLANES) for tile in
-                  reversed(pyramid.block(cfg.start_level, 0, 0, n_lat, n_lon)))
+    outside = inside = intersect = leaves = depth = 0
+    outside_cls, inside_cls = Classification.OUTSIDE, Classification.INSIDE
+    stack = list(zip(reversed(pyramid.start_grid(cfg.start_level)), repeat(ALL_PLANES)))
+    # classify_tile and subdivide are looked up per call, so that wrappers
+    # installed on the module see every tile
     while stack:
         tile, planes = stack.pop()
-        cls, straddled = classify_tile(tile, frustum, params, method, cfg.cull,
+        cls, straddled = classify_tile(tile, frustum, params, method, cull,
                                        planes=planes)
-        stats.visited += 1
-        stats.max_depth_reached = max(stats.max_depth_reached, tile.level)
+        level = tile.level
+        if level > depth:
+            depth = level
         if sink is not None:
             sink(tile, cls)
-        if cls is Classification.OUTSIDE:
-            stats.outside += 1
-        elif cls is Classification.INSIDE:
-            stats.inside += 1
-            stats.leaves_rendered += 1
+        if cls is outside_cls:
+            outside += 1
+        elif cls is inside_cls:
+            inside += 1
             visible.append(tile)
         else:
-            stats.intersect += 1
-            if tile.level < cfg.max_level:
-                for child in reversed(subdivide(tile, pyramid)):
-                    stack.append((child, straddled))
+            intersect += 1
+            if level < max_level:
+                a, b, c, d = subdivide(tile, pyramid)
+                stack += ((d, straddled), (c, straddled), (b, straddled), (a, straddled))
             else:
-                stats.leaves_rendered += 1
+                leaves += 1
                 visible.append(tile)
-    stats.elapsed_ns = time.perf_counter_ns() - t0
+    stats = TraversalStats(visited=outside + inside + intersect, outside=outside,
+                           inside=inside, intersect=intersect,
+                           leaves_rendered=inside + leaves, max_depth_reached=depth,
+                           elapsed_ns=time.perf_counter_ns() - t0)
     return visible, stats

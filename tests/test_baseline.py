@@ -192,6 +192,47 @@ class TestCornerTestDifferential:
                                                             want.hi.tobytes())
 
 
+class TestSphereCornerMap:
+    """The plain corner map AABB8 passes, against numpy's sphere_point."""
+
+    def edge_tiles(self, rng):
+        # pole rows, +-pi seam columns and their corners, over many levels,
+        # each with a zero-height and a thick height interval
+        for level in range(0, 12):
+            n_lat, n_lon = terrain._grid_shape(level)
+            rows = {0, n_lat - 1, int(rng.integers(n_lat))}
+            cols = {0, n_lon - 1, int(rng.integers(n_lon))}
+            h = rng.uniform(-500.0, 9000.0)
+            for i in rows:
+                for j in cols:
+                    for heights in ((h, h), (0.0, 0.0), (-500.0, 9000.0)):
+                        yield terrain.tile_from_indices(level, i, j,
+                                                        height_range=heights)
+
+    def test_bit_equal_to_sphere_point_on_pole_seam_and_flat_tiles(self, rng):
+        seen = {"pole": 0, "seam": 0, "flat": 0}
+        for tile in self.edge_tiles(rng):
+            center, offsets = terrain.tile_bin(tile, PARAMS)
+            center = tuple(center.tolist())   # floats, as classify_tile passes
+            lo0, lo1, lo2, hi0, hi1, hi2 = offsets.bounds
+            corners = [(center[0] + a, center[1] + b, center[2] + c)
+                       for a in (lo0, hi0) for b in (lo1, hi1) for c in (lo2, hi2)]
+            got = _sphere_point_rows(corners)
+            want = SPHERE(np.array(corners))
+            assert np.array(got).tobytes() == want.tobytes(), tile
+            assert all(type(v) is float for point in got for v in point)
+            hull = world_aabb_of_bin(_sphere_point_rows, center, offsets)
+            ref = world_aabb_of_bin(SPHERE, center, offsets)
+            assert hull.bounds == ref.bounds, tile
+            assert (hull.lo.tobytes(), hull.hi.tobytes()) == (ref.lo.tobytes(),
+                                                              ref.hi.tobytes())
+            assert all(type(v) is float for v in hull.bounds + ref.bounds)
+            seen["pole"] += tile.i in (0, 2 ** tile.level - 1)
+            seen["seam"] += abs(corners[0][2]) > 3.1 or abs(corners[7][2]) > 3.1
+            seen["flat"] += lo0 == hi0
+        assert min(seen.values()) > 100, seen
+
+
 class TestSampleOracle:
     def globe_frustum(self):
         pose = CameraPose([0.0, 0.0, 5 * R], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0],

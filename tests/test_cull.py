@@ -79,6 +79,15 @@ class TestCullConfig:
             with pytest.raises(ValueError):
                 CullConfig(inflation=bad)
 
+    @pytest.mark.parametrize("bad", ["EXACT", "NINE_POINT", None])
+    def test_rejects_an_extrema_mode_that_is_no_extrema_mode(self, bad):
+        # "EXACT" used to be accepted, and the first analytic tile then
+        # raised KeyError: 'EXACT'
+        with pytest.raises(ValueError, match="extrema_mode"):
+            CullConfig(extrema_mode=bad)
+        with pytest.raises(ValueError, match="extrema_mode"):
+            dataclasses.replace(CullConfig(), extrema_mode=bad)
+
 
 class TestPlaneQuadratic:
     def test_identity_jet(self):

@@ -226,6 +226,39 @@ class TestPyramidBlock:
                 for i in range(n_lat) for j in range(n_lon)]
 
 
+class TestStartGrid:
+    """``MinMaxPyramid.start_grid``: one cached grid per pyramid and level."""
+
+    def test_one_tuple_for_every_traversal_and_method(self, scenarios_dir):
+        sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
+        pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        level = sc.terrain.start_level
+        grid = pyramid.start_grid(level)
+        n_lat, n_lon = _grid_shape(level)
+        assert type(grid) is tuple
+        assert [tile_bits(t) for t in grid] == [
+            tile_bits(t) for t in pyramid.block(level, 0, 0, n_lat, n_lon)]
+        for method in Method:
+            for frame in (0, 40):
+                seen = []
+                traverse(frustum_from_camera(sc.cameras[frame]), sc.terrain, pyramid,
+                         sc.geodetic, method, sink=lambda t, c: seen.append(t))
+                start = [t for t in seen if t.level == level]
+                assert len(start) == len(grid)
+                assert all(a is b for a, b in zip(start, grid)), (method, frame)
+        assert pyramid.start_grid(level) is grid
+
+    def test_level_arrays_are_read_only(self):
+        pyramid = flat_pyramid(TerrainConfig(start_level=1, max_level=3), 100.0)
+        pyramid.start_grid(1)
+        assert len(pyramid.levels) == 4
+        for pair in pyramid.levels:
+            for heights in pair:
+                with pytest.raises(ValueError, match="read-only"):
+                    heights[0, 0] = 5000.0
+        assert all(t.height_range == (100.0, 100.0) for t in pyramid.start_grid(1))
+
+
 class TestTileBin:
     def test_reference_equatorial_tile(self):
         tile = GeoTile(4, 0, 0, (-0.03125 * PI, 0.03125 * PI),
@@ -655,6 +688,30 @@ class TestTraverse:
         a, _ = traverse(frustum, cfg, pyramid, PARAMS, Method.ANALYTIC_BIN)
         b, _ = traverse(frustum, cfg, pyramid, PARAMS, Method.ANALYTIC_BIN)
         assert [t.tile_id for t in a] == [t.tile_id for t in b]
+
+    def test_each_start_level_has_its_own_start_grid(self):
+        pyramid = flat_pyramid(TerrainConfig(start_level=2, max_level=4), 100.0)
+        frustum = self.whole_globe_frustum()
+        for level in (3, 2, 4):
+            cfg = TerrainConfig(start_level=level, max_level=4)
+            # every start tile is INSIDE, so the visible tiles are the grid
+            visible, stats = traverse(frustum, cfg, pyramid, PARAMS, Method.AABB8)
+            grid = pyramid.start_grid(level)
+            assert stats.visited == stats.inside == len(grid) == math.prod(_grid_shape(level))
+            assert all(a is b for a, b in zip(visible, grid))
+            assert {t.level for t in grid} == {level}
+        assert len({id(pyramid.start_grid(level)) for level in (2, 3, 4)}) == 3
+
+    @pytest.mark.parametrize("method", ["ANALYTIC_BIN", "AABB8", None])
+    def test_method_that_is_no_method_rejected(self, method):
+        # classify_tile took every method but Method.ANALYTIC_BIN as AABB8,
+        # so the string "ANALYTIC_BIN" used to run AABB8
+        pyramid = flat_pyramid(self.CFG, 100.0)
+        frustum = self.whole_globe_frustum()
+        with pytest.raises(ValueError, match="method"):
+            traverse(frustum, self.CFG, pyramid, PARAMS, method)
+        with pytest.raises(ValueError, match="method"):
+            classify_tile(pyramid.tile(4, 3, 5), frustum, PARAMS, method, CullConfig())
 
     def test_shallow_pyramid_rejected(self):
         cfg = TerrainConfig(start_level=2, max_level=5)
