@@ -46,11 +46,10 @@ from .quadratic import (
     box_extrema_nine_point,
     stationary_point,
 )
-from .scenario import METHOD_NAMES, Scenario, ScenarioError, load_scenario
+from .scenario import METHOD_NAMES, Scenario, ScenarioError, _at, load_scenario
 from .terrain import (
     IngestError,
     build_minmax_pyramid,
-    root_tiles,
     synth_heightfield,
     tile_bin,
     traverse,
@@ -146,7 +145,7 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
 
     params = scenario.geodetic
     map_fn = lambda pts: sphere_point(params, pts)
-    start_ids = [tile.tile_id for tile in root_tiles(scenario.terrain)]
+    start_level = scenario.terrain.start_level
 
     grid_runs = {name: {} for name in scenario.methods}
     oracle_grid = {}
@@ -157,11 +156,13 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
         oracle_states = {}
         for method_name, (_, stats, classified) in results.items():
             stats_by_method[method_name].append(stats)
-            grid_runs[method_name][frame] = {tile_id: classified[tile_id][1]
-                                             for tile_id in start_ids}
+            # in row order: the traversal visits the start grid that way
+            grid = grid_runs[method_name][frame] = {}
             for tile_id, (tile, cls) in classified.items():
                 pruned = cls is Classification.OUTSIDE
-                if not pruned and tile.level != scenario.terrain.start_level:
+                if tile.level == start_level:
+                    grid[tile_id] = cls
+                elif not pruned:
                     continue
                 if tile_id not in oracle_states:
                     center, offsets = tile_bin(tile, params)
@@ -170,7 +171,8 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
                 verdict = oracle_states[tile_id]
                 if pruned and verdict is not Classification.OUTSIDE:
                     pruned_flags.append((frame, tile_id, method_name, verdict.value))
-        oracle_grid[frame] = {tile_id: oracle_states[tile_id] for tile_id in start_ids}
+        # every method's grid holds the same ids in the same order
+        oracle_grid[frame] = {tile_id: oracle_states[tile_id] for tile_id in grid}
         if frame_callback is not None:
             frame_callback(frame, frustum, {name: r[2] for name, r in results.items()})
 
@@ -232,19 +234,14 @@ def _load_with_overrides(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     terrain = scenario.terrain
     if args.inflation is not None:
-        try:
+        with _at("--inflation"):
             terrain = dataclasses.replace(
                 terrain, cull=dataclasses.replace(terrain.cull, inflation=args.inflation))
-        except ValueError as exc:
-            raise ScenarioError(f"--inflation: {exc}") from None
     # both levels in one replace, so raising one above the other's old value works
     levels = {key: getattr(args, key) for key in ("start_level", "max_level")
               if getattr(args, key) is not None}
-    try:
+    with _at(", ".join("--" + key.replace("_", "-") for key in levels)):
         terrain = dataclasses.replace(terrain, **levels)
-    except ValueError as exc:
-        options = ", ".join("--" + key.replace("_", "-") for key in levels)
-        raise ScenarioError(f"{options}: {exc}") from None
     return dataclasses.replace(scenario, terrain=terrain)
 
 

@@ -175,6 +175,8 @@ def plane_quadratic(jet: MapJet, plane: Plane):
 def classify_against_plane(q: ScalarQuadratic, d: float, bin_box: Box3,
                            mode: ExtremaMode) -> PlaneState:
     """Three-way test of an (already inflated) bin against one plane."""
+    if not isinstance(mode, ExtremaMode):
+        raise ValueError(f"mode must be an ExtremaMode, got {mode!r}")
     mn, mx, _, _ = _EXTREMA[mode](*_unpack(q), *bin_box.bounds)
     if mn > mx:  # every candidate value was NaN
         return PlaneState.STRADDLES

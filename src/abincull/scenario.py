@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,18 @@ class ScenarioError(ValueError):
     """Invalid scenario; the message names the JSON path at fault."""
 
 
+@contextmanager
+def _at(path):
+    """Re-raise a ``ValueError`` from the block as a ``ScenarioError``
+    prefixed with ``path``; a ``ScenarioError`` already names its path."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -71,10 +84,8 @@ class Scenario:
             if base_dir is not None:
                 path = Path(base_dir) / path
             return load_heightfield(path)
-        try:
+        with _at("$.terrain.heightfield"):
             return synth_heightfield(**spec)
-        except ValueError as exc:
-            raise ScenarioError(f"$.terrain.heightfield: {exc}") from None
 
 
 def orbit_cameras(frames: int, altitude_m: float, radius_m: float = EARTH_RADIUS_M,
@@ -152,7 +163,7 @@ def _as_list(value, path, names, item=_as_number):
 
 def _parse_pose(obj, path) -> CameraPose:
     _as_object(obj, path, ("eye", "look_dir", "up_hint", "fov_y", "aspect", "near", "far"))
-    try:
+    with _at(path):
         return CameraPose(
             eye=_as_list(_expect(obj, "eye", path, required=True), f"{path}.eye", "xyz"),
             look_dir=_as_list(_expect(obj, "look_dir", path, required=True),
@@ -164,16 +175,12 @@ def _parse_pose(obj, path) -> CameraPose:
             near=_as_number(_expect(obj, "near", path, required=True), f"{path}.near"),
             far=_as_number(_expect(obj, "far", path, required=True), f"{path}.far"),
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _parse_orbit(obj, path, radius_m) -> list[CameraPose]:
     _as_object(obj, path, ("frames", "altitude_m", "plane", "fov_y", "aspect",
                            "near_m", "far_m", "phase"))
-    try:
+    with _at(path):
         return orbit_cameras(
             frames=_as_int(_expect(obj, "frames", path, required=True), f"{path}.frames"),
             altitude_m=_as_number(_expect(obj, "altitude_m", path, required=True), f"{path}.altitude_m"),
@@ -185,10 +192,6 @@ def _parse_orbit(obj, path, radius_m) -> list[CameraPose]:
                for key in ("near_m", "far_m") if obj.get(key) is not None},
             phase=_as_number(_expect(obj, "phase", path, default=0.0), f"{path}.phase"),
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _parse_heightfield(obj, path) -> dict:
@@ -231,10 +234,8 @@ def parse_scenario(text: str) -> Scenario:
                          ("radius_m",))
     radius = _as_number(_expect(geo_obj, "radius_m", "$.geodetic",
                                 default=EARTH_RADIUS_M), "$.geodetic.radius_m")
-    try:
+    with _at("$.geodetic"):
         geodetic = GeodeticParams(radius)
-    except ValueError as exc:
-        raise ScenarioError(f"$.geodetic: {exc}") from None
 
     terr = _as_object(_expect(doc, "terrain", "$", default={}), "$.terrain",
                       ("start_level", "max_level", "inflation", "lat_range",
@@ -249,11 +250,9 @@ def parse_scenario(text: str) -> Scenario:
                                "$.terrain.lat_range", ("lo", "hi")))
     lon_range = tuple(_as_list(_expect(terr, "lon_range", "$.terrain", default=FULL_LON_RANGE),
                                "$.terrain.lon_range", ("lo", "hi")))
-    try:
+    with _at("$.terrain"):
         terrain = TerrainConfig(start_level, max_level, lat_range, lon_range,
                                 CullConfig(inflation=inflation))
-    except ValueError as exc:
-        raise ScenarioError(f"$.terrain: {exc}") from None
 
     hf_spec = _parse_heightfield(
         _expect(terr, "heightfield", "$.terrain", default={"kind": "FLAT"}),

@@ -105,8 +105,8 @@ class GeoTile:
             raise ValueError("level and indices must be non-negative")
         _check_angle_ranges(lat_range, lon_range)
         h_lo, h_hi = height_range
-        if h_lo > h_hi:
-            raise ValueError("height interval inverted")
+        if not h_lo <= h_hi:  # also false for a NaN bound
+            raise ValueError(f"height_range must have lo <= hi, got {height_range}")
         # every visited tile is built here: item stores into __dict__ skip
         # the frozen __setattr__, cost far less than six object.__setattr__
         # calls and, unlike assigning a dict literal, keep the keys shared
@@ -373,10 +373,8 @@ def build_minmax_pyramid(hf: HeightField, cfg: TerrainConfig) -> MinMaxPyramid:
 
 
 def subdivide(tile: GeoTile, pyramid: MinMaxPyramid) -> list[GeoTile]:
-    """The four children of a tile as one 2x2 ``pyramid.block``, row by row."""
-    if tile.level >= pyramid.max_level:
-        raise ValueError(f"tile {tile.tile_id} is already at max level "
-                         f"{pyramid.max_level}")
+    """The four children of a tile as one 2x2 ``pyramid.block``, row by row;
+    ``ValueError`` naming ``max_level`` for a tile at the pyramid's max level."""
     return pyramid.block(tile.level + 1, 2 * tile.i, 2 * tile.j, 2, 2)
 
 
@@ -545,8 +543,12 @@ def write_heightfield(hf: HeightField, path) -> None:
     lon_lo, lon_hi = hf.lon_range
     ydim = math.degrees((lat_hi - lat_lo) / (hf.rows - 1)) if hf.rows > 1 else 0.0
     xdim = math.degrees((lon_hi - lon_lo) / (hf.cols - 1)) if hf.cols > 1 else 0.0
+    # the first (north-west) sample, which is lat_hi/lon_lo unless its axis
+    # has one sample, in the middle of its range
+    ulx = math.degrees(hf.sample_lons()[0])
+    uly = math.degrees(hf.sample_lats()[0])
     header = (f"nrows={hf.rows}\nncols={hf.cols}\n"
-              f"ulxmap={math.degrees(lon_lo)!r}\nulymap={math.degrees(lat_hi)!r}\n"
+              f"ulxmap={ulx!r}\nulymap={uly!r}\n"
               f"xdim={xdim!r}\nydim={ydim!r}\nnodata={hf.nodata!r}\n").encode()
     with open(path, "wb") as fh:
         fh.write(PORTABLE_MAGIC)

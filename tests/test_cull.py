@@ -195,6 +195,12 @@ class TestClassifyAgainstPlane:
         state = classify_against_plane(q, 0.0, Box3([-1.0] * 3, [1.0] * 3), mode)
         assert state is PlaneState.STRADDLES
 
+    @pytest.mark.parametrize("mode", ["EXACT", None, 0])
+    def test_mode_that_is_no_extrema_mode_rejected(self, mode):
+        q = ScalarQuadratic(0.0, [1.0, 0.0, 0.0], np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="mode must be an ExtremaMode"):
+            classify_against_plane(q, 0.5, Box3([-1.0] * 3, [1.0] * 3), mode)
+
     def test_mode_dominance(self, rng):
         # EXACT deciding a side forces NINE_POINT to decide the same side
         from abincull.cli import random_box, random_quadratic

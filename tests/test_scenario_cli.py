@@ -172,6 +172,32 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="terrain"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"geodetic": {"radius_m": -1}},
+         "$.geodetic: radius_m must be positive and finite, got -1.0"),
+        ({"terrain": {"start_level": 3, "max_level": 2}},
+         "$.terrain: need 0 <= start_level <= max_level <= 12, got 3..2"),
+        ({"cameras": [dict(MINIMAL["cameras"][0], fov_y=4.0)]},
+         "$.cameras[0]: fov_y must be in (0, pi), got 4.0"),
+        ({"cameras": [dict(MINIMAL["cameras"][0], fov_y="x")]},
+         "$.cameras[0].fov_y: expected a number, got 'x'"),
+        ({"cameras": [{"orbit": {"frames": 2, "altitude_m": 5e5, "plane": "tilt"}}]},
+         "$.cameras[0].orbit: plane must be 'equatorial' or 'polar', got 'tilt'"),
+    ], ids=["geodetic", "terrain", "pose", "pose_field_not_prefixed_twice", "orbit"])
+    def test_constructor_error_names_its_path_once(self, doc, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(json.dumps(dict(MINIMAL, **doc)))
+        assert str(info.value) == message
+
+    def test_heightfield_build_error_names_its_path(self):
+        doc = dict(MINIMAL, terrain={"heightfield": {"kind": "SINUSOIDAL",
+                                                     "amplitude": 12000}})
+        sc = parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError) as info:
+            sc.build_heightfield()
+        assert str(info.value) == ("$.terrain.heightfield: amplitude must be in "
+                                   "[0, 9000], got 12000.0")
+
 
 class TestOrbitCameras:
     def test_nadir_look(self):
@@ -231,6 +257,21 @@ class TestCliRun:
                    option, value])
         assert rc == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--inflation", "3.0"], "--inflation: inflation must be in [1, 2], got 3.0"),
+        (["--start-level", "5"],
+         "--start-level: need 0 <= start_level <= max_level <= 12, got 5..3"),
+        (["--start-level", "5", "--max-level", "4"],
+         "--start-level, --max-level: need 0 <= start_level <= max_level <= 12, "
+         "got 5..4"),
+    ], ids=["inflation", "start_level", "both_levels"])
+    def test_override_error_names_its_options(self, tmp_path, scenarios_dir, capsys,
+                                              options, message):
+        rc = main(["run", str(scenarios_dir / "smoke.json"), "-o", str(tmp_path)]
+                  + options)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_bad_synthetic_spec_exits_2(self, tmp_path, scenarios_dir, capsys, command):

@@ -90,6 +90,13 @@ class TestGeoTile:
     def test_tile_id(self):
         assert tile_from_indices(4, 7, 12).tile_id == "4/7/12"
 
+    @pytest.mark.parametrize("height_range", [
+        (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (5.0, 1.0)],
+        ids=["nan_lo", "nan_hi", "nan_both", "inverted"])
+    def test_height_range_must_be_ordered_numbers(self, height_range):
+        with pytest.raises(ValueError, match="height_range"):
+            GeoTile(0, 0, 0, (-1.0, 1.0), (-1.0, 1.0), height_range)
+
 
 class TestSubdivide:
     def test_quarters_with_shared_midpoint(self):
@@ -138,6 +145,13 @@ class TestSubdivide:
         pyramid = flat_pyramid(cfg)
         tile = tile_from_indices(1, 0, 0)
         with pytest.raises(ValueError):
+            subdivide(tile, pyramid)
+
+    @pytest.mark.parametrize("max_level", [0, 3])
+    def test_max_level_tile_error_names_max_level(self, max_level):
+        pyramid = flat_pyramid(TerrainConfig(start_level=0, max_level=max_level))
+        tile = pyramid.tile(max_level, 0, 0)
+        with pytest.raises(ValueError, match=f"max.level {max_level}"):
             subdivide(tile, pyramid)
 
 
@@ -514,6 +528,19 @@ class TestHeightFieldIO:
         back = load_heightfield(path)
         assert back.samples.tolist() == [[1.0, 2.0, 3.0]]
         assert back.lat_range == pytest.approx((0.25, 0.25))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (1, 1)])
+    def test_one_sample_axis_keeps_its_sample_coordinate(self, tmp_path, shape):
+        # a one-sample axis has its sample in the middle of its range, and the
+        # header's ulymap/ulxmap name the first sample, not the range's edge
+        samples = np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape)
+        hf = HeightField(samples, (0.0, 0.2), (0.0, 0.4))
+        path = tmp_path / "thin.abhf"
+        write_heightfield(hf, path)
+        back = load_heightfield(path)
+        assert back.samples.tolist() == samples.tolist()
+        np.testing.assert_allclose(back.sample_lats(), hf.sample_lats(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back.sample_lons(), hf.sample_lons(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_sample_names_file_and_position(self, tmp_path, value):
