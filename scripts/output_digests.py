@@ -7,10 +7,12 @@ wall times) and one combined digest over all of them.  Each compare's stdout
 is digested as ``compare_<scenario>/stdout.txt``.  Two checkouts whose
 combined digests agree produce byte-identical outputs.
 
-Before the combined line it prints one ``pyramid_<scenario>`` line per
-scenario: the sha256 of every level's ``hmin`` then ``hmax`` as ``<f8``
-bytes, level 0 first, and the pyramid's ``empty_tiles``.  These lines are
-not part of the combined digest.
+Before the combined line it prints two lines per scenario, neither part of
+the combined digest: ``scenario_<scenario>``, the sha256 of the parsed
+``Scenario`` as canonical JSON (arrays as lists, enums as their values,
+sorted keys), and ``pyramid_<scenario>``, the sha256 of every level's
+``hmin`` then ``hmax`` as ``<f8`` bytes, level 0 first, and the pyramid's
+``empty_tiles``.
 
     python scripts/output_digests.py              # this checkout
     python scripts/output_digests.py OTHER_CHECKOUT   # its src/ and scenarios/
@@ -20,11 +22,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import enum
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 RUNS = (
     ("run", "smoke"),
@@ -35,6 +42,20 @@ RUNS = (
     ("compare", "orbit_sinusoidal"),
 )
 UNSTABLE = ("timings.csv",)
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise TypeError(f"no canonical JSON form for {type(value).__name__}")
+
+
+def scenario_digest(scenario) -> str:
+    """sha256 of a parsed ``Scenario`` as canonical JSON."""
+    text = json.dumps(dataclasses.asdict(scenario), default=_json_value, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -72,6 +93,7 @@ def main(argv=None) -> int:
     for name in dict.fromkeys(name for _, name in RUNS):
         path = args.checkout / "scenarios" / f"{name}.json"
         scenario = load_scenario(path)
+        print(f"{scenario_digest(scenario)}  scenario_{name}")
         pyramid = build_minmax_pyramid(scenario.build_heightfield(path.parent), scenario.terrain)
         levels = hashlib.sha256()
         for hmin, hmax in pyramid.levels:

@@ -33,6 +33,10 @@ def _unit(v, what: str) -> np.ndarray:
     a = _vec3(v, what)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(a)
+    if n < 1e-150 and a.any():
+        # the squares in the norm underflow and lose bits: scale exactly first
+        a = a * 2.0 ** 600
+        n = np.linalg.norm(a)
     if not 0.0 < n < math.inf:  # an overflowing norm would give a zero unit vector
         raise ValueError(f"{what} must be a nonzero 3-vector of finite length")
     return a / n
@@ -119,9 +123,18 @@ class CameraPose:
             raise ValueError(f"fov_y must be in (0, pi), got {self.fov_y}")
         if not 0.0 < self.aspect < math.inf:
             raise ValueError(f"aspect must be positive and finite, got {self.aspect}")
+        # frustum_from_camera's side-plane slope and far-plane point; the near
+        # point lies between the eye and the far point
+        if not math.isfinite(self.aspect * math.tan(0.5 * self.fov_y)):
+            raise ValueError(f"aspect * tan(fov_y / 2) overflows, got aspect={self.aspect} "
+                             f"fov_y={self.fov_y}")
         if not 0.0 < self.near < self.far < math.inf:
             raise ValueError(f"need 0 < near < far < inf, got near={self.near} "
                              f"far={self.far}")
+        (ex, ey, ez), (lx, ly, lz) = self.eye.tolist(), self.look_dir.tolist()
+        if not all(map(math.isfinite, (ex + self.far * lx, ey + self.far * ly,
+                                       ez + self.far * lz))):
+            raise ValueError(f"far point eye + far * look_dir overflows, got far={self.far}")
         if abs(float(self.look_dir @ self.up_hint)) >= 1.0 - 1e-9:
             raise ValueError("look_dir and up_hint must not be collinear")
 

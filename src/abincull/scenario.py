@@ -13,6 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,6 @@ from .cull import CullConfig, ExtremaMode
 from .frustum import CameraPose
 from .mapping import EARTH_RADIUS_M, GeodeticParams
 from .terrain import (
-    FULL_LAT_RANGE,
-    FULL_LON_RANGE,
     HeightField,
     Method,
     SynthKind,
@@ -118,11 +117,9 @@ def orbit_cameras(frames: int, altitude_m: float, radius_m: float = EARTH_RADIUS
     return poses
 
 
-def _expect(obj, key, path, default=None, required=False):
+def _required(obj, key, path):
     if key not in obj:
-        if required:
-            raise ScenarioError(f"{path}: missing required field '{key}'")
-        return default
+        raise ScenarioError(f"{path}: missing required field '{key}'")
     return obj[key]
 
 
@@ -132,10 +129,26 @@ def _as_object(value, path, fields):
     for key in value:
         if key not in fields:
             raise ScenarioError(f"{path}.{key}: unknown field")
+
+
+def _fields(obj, path, table) -> dict:
+    """Check ``obj`` against ``table`` and convert its fields in table order."""
+    _as_object(obj, path, table)
+    fields = {}
+    for key, (convert, default) in table.items():
+        value = _required(obj, key, path) if default is _REQUIRED else obj.get(key, default)
+        if value is not _OMIT:
+            fields[key] = convert(value, f"{path}.{key}")
+    return fields
+
+
+def _as_is(value, path):
     return value
 
 
 def _as_number(value, path):
+    if type(value) is float and math.isfinite(value):  # the common case, checked first
+        return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
     try:
@@ -147,6 +160,10 @@ def _as_number(value, path):
     return number
 
 
+def _as_number_or_null(value, path):
+    return None if value is None else _as_number(value, path)
+
+
 def _as_int(value, path, minimum=None):
     if not _as_number(value, path).is_integer():
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
@@ -155,65 +172,67 @@ def _as_int(value, path, minimum=None):
     return int(value)
 
 
-def _as_list(value, path, names, item=_as_number):
-    if not isinstance(value, (list, tuple)) or len(value) != len(names):
-        raise ScenarioError(f"{path}: expected [{', '.join(names)}]")
-    return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
+def _as_bool(value, path):
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected true or false, got {value!r}")
+    return value
 
 
-def _parse_pose(obj, path) -> CameraPose:
-    _as_object(obj, path, ("eye", "look_dir", "up_hint", "fov_y", "aspect", "near", "far"))
-    with _at(path):
-        return CameraPose(
-            eye=_as_list(_expect(obj, "eye", path, required=True), f"{path}.eye", "xyz"),
-            look_dir=_as_list(_expect(obj, "look_dir", path, required=True),
-                              f"{path}.look_dir", "xyz"),
-            up_hint=_as_list(_expect(obj, "up_hint", path, default=[0, 1, 0]),
-                             f"{path}.up_hint", "xyz"),
-            fov_y=_as_number(_expect(obj, "fov_y", path, required=True), f"{path}.fov_y"),
-            aspect=_as_number(_expect(obj, "aspect", path, default=1.0), f"{path}.aspect"),
-            near=_as_number(_expect(obj, "near", path, required=True), f"{path}.near"),
-            far=_as_number(_expect(obj, "far", path, required=True), f"{path}.far"),
-        )
+def _as_list(names, item=_as_number):
+    def convert(value, path):
+        if not isinstance(value, (list, tuple)) or len(value) != len(names):
+            raise ScenarioError(f"{path}: expected [{', '.join(names)}]")
+        return tuple([item(v, f"{path}[{k}]") for k, v in enumerate(value)])
+    return convert
 
 
-def _parse_orbit(obj, path, radius_m) -> list[CameraPose]:
-    _as_object(obj, path, ("frames", "altitude_m", "plane", "fov_y", "aspect",
-                           "near_m", "far_m", "phase"))
-    with _at(path):
-        return orbit_cameras(
-            frames=_as_int(_expect(obj, "frames", path, required=True), f"{path}.frames"),
-            altitude_m=_as_number(_expect(obj, "altitude_m", path, required=True), f"{path}.altitude_m"),
-            radius_m=radius_m,
-            plane=_expect(obj, "plane", path, default="equatorial"),
-            fov_y=_as_number(_expect(obj, "fov_y", path, default=1.0), f"{path}.fov_y"),
-            aspect=_as_number(_expect(obj, "aspect", path, default=1.2), f"{path}.aspect"),
-            **{key: _as_number(obj[key], f"{path}.{key}")
-               for key in ("near_m", "far_m") if obj.get(key) is not None},
-            phase=_as_number(_expect(obj, "phase", path, default=0.0), f"{path}.phase"),
-        )
+def _as_kind(value, path):
+    if value not in [k.value for k in SynthKind]:
+        raise ScenarioError(f"{path}: unknown synthetic kind {value!r}")
+    return value
+
+
+# Tables map a field name to (converter, default).  The default is _REQUIRED, a value
+# the parser owns, or _OMIT: a field left out then takes its constructor's default.
+_REQUIRED = object()
+_OMIT = object()
+_AT_LEAST_2 = partial(_as_int, minimum=2)
+_POSE = {  # CameraPose, which has no defaults
+    "eye": (_as_list("xyz"), _REQUIRED), "look_dir": (_as_list("xyz"), _REQUIRED),
+    "up_hint": (_as_list("xyz"), (0, 1, 0)), "fov_y": (_as_number, _REQUIRED),
+    "aspect": (_as_number, 1.0), "near": (_as_number, _REQUIRED), "far": (_as_number, _REQUIRED),
+}
+_ORBIT = {  # orbit_cameras; a null near_m or far_m is derived from the altitude
+    "frames": (_as_int, _REQUIRED), "altitude_m": (_as_number, _REQUIRED),
+    "plane": (_as_is, _OMIT), "fov_y": (_as_number, _OMIT), "aspect": (_as_number, _OMIT),
+    "near_m": (_as_number_or_null, _OMIT), "far_m": (_as_number_or_null, _OMIT),
+    "phase": (_as_number, _OMIT),
+}
+_GEODETIC = {"radius_m": (_as_number, _OMIT)}
+_TERRAIN = {  # TerrainConfig and its CullConfig; the heightfield is parsed after them
+    "start_level": (_as_int, _OMIT), "max_level": (_as_int, _OMIT),
+    "inflation": (_as_number, _OMIT), "lat_range": (_as_list(("lo", "hi")), _OMIT),
+    "lon_range": (_as_list(("lo", "hi")), _OMIT), "heightfield": (_as_is, {"kind": "FLAT"}),
+}
+_ORACLE = {"enabled": (_as_bool, False), "lattice": (
+    _as_list(("n_lat", "n_lon", "n_height"), _AT_LEAST_2), DEFAULT_ORACLE_LATTICE)}
+_SYNTHETIC = {  # synth_heightfield
+    "kind": (_as_kind, _REQUIRED), "rows": (_AT_LEAST_2, _OMIT), "cols": (_AT_LEAST_2, _OMIT),
+    **dict.fromkeys(("value", "peak_height", "peak_lat", "peak_lon", "amplitude",
+                     "frequency"), (_as_number, _OMIT)),
+}
 
 
 def _parse_heightfield(obj, path) -> dict:
-    _as_object(obj, path, ("path", "kind", "rows", "cols", "value", "peak_height",
-                           "peak_lat", "peak_lon", "amplitude", "frequency"))
-    if "path" in obj:
-        for key in obj:
-            if key != "path":
-                raise ScenarioError(f"{path}.{key}: not allowed alongside path")
-        if not isinstance(obj["path"], str) or not obj["path"]:
-            raise ScenarioError(f"{path}.path: expected a non-empty string, got {obj['path']!r}")
-        return {"path": obj["path"]}
-    kind = _expect(obj, "kind", path, required=True)
-    if kind not in [k.value for k in SynthKind]:
-        raise ScenarioError(f"{path}.kind: unknown synthetic kind {kind!r}")
-    spec = {"kind": kind}
+    if not (isinstance(obj, dict) and "path" in obj):
+        return _fields(obj, path, _SYNTHETIC)
+    _as_object(obj, path, ("path", *_SYNTHETIC))
     for key in obj:
-        if key in ("rows", "cols"):
-            spec[key] = _as_int(obj[key], f"{path}.{key}", minimum=2)
-        elif key != "kind":
-            spec[key] = _as_number(obj[key], f"{path}.{key}")
-    return spec
+        if key != "path":
+            raise ScenarioError(f"{path}.{key}: not allowed alongside path")
+    if not isinstance(obj["path"], str) or not obj["path"]:
+        raise ScenarioError(f"{path}.path: expected a non-empty string, got {obj['path']!r}")
+    return {"path": obj["path"]}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -225,40 +244,24 @@ def parse_scenario(text: str) -> Scenario:
     _as_object(doc, "$", ("name", "seed", "geodetic", "terrain", "cameras", "methods",
                           "oracle"))
 
-    name = _expect(doc, "name", "$", required=True)
+    name = _required(doc, "name", "$")
     if not isinstance(name, str):
         raise ScenarioError(f"$.name: expected a string, got {name!r}")
-    seed = _as_int(_expect(doc, "seed", "$", default=0), "$.seed")
+    seed = _as_int(doc.get("seed", 0), "$.seed")
 
-    geo_obj = _as_object(_expect(doc, "geodetic", "$", default={}), "$.geodetic",
-                         ("radius_m",))
-    radius = _as_number(_expect(geo_obj, "radius_m", "$.geodetic",
-                                default=EARTH_RADIUS_M), "$.geodetic.radius_m")
     with _at("$.geodetic"):
-        geodetic = GeodeticParams(radius)
+        geodetic = GeodeticParams(**_fields(doc.get("geodetic", {}), "$.geodetic", _GEODETIC))
 
-    terr = _as_object(_expect(doc, "terrain", "$", default={}), "$.terrain",
-                      ("start_level", "max_level", "inflation", "lat_range",
-                       "lon_range", "heightfield"))
-    start_level = _as_int(_expect(terr, "start_level", "$.terrain", default=4),
-                          "$.terrain.start_level")
-    max_level = _as_int(_expect(terr, "max_level", "$.terrain", default=start_level),
-                        "$.terrain.max_level")
-    inflation = _as_number(_expect(terr, "inflation", "$.terrain", default=1.1),
-                           "$.terrain.inflation")
-    lat_range = tuple(_as_list(_expect(terr, "lat_range", "$.terrain", default=FULL_LAT_RANGE),
-                               "$.terrain.lat_range", ("lo", "hi")))
-    lon_range = tuple(_as_list(_expect(terr, "lon_range", "$.terrain", default=FULL_LON_RANGE),
-                               "$.terrain.lon_range", ("lo", "hi")))
+    terr = _fields(doc.get("terrain", {}), "$.terrain", _TERRAIN)
+    if "start_level" in terr:
+        terr.setdefault("max_level", terr["start_level"])
+    heightfield = terr.pop("heightfield")
+    cull = {"inflation": terr.pop("inflation")} if "inflation" in terr else {}
     with _at("$.terrain"):
-        terrain = TerrainConfig(start_level, max_level, lat_range, lon_range,
-                                CullConfig(inflation=inflation))
+        terrain = TerrainConfig(**terr, cull=CullConfig(**cull))
+    hf_spec = _parse_heightfield(heightfield, "$.terrain.heightfield")
 
-    hf_spec = _parse_heightfield(
-        _expect(terr, "heightfield", "$.terrain", default={"kind": "FLAT"}),
-        "$.terrain.heightfield")
-
-    cam_list = _expect(doc, "cameras", "$", required=True)
+    cam_list = _required(doc, "cameras", "$")
     if not isinstance(cam_list, list) or not cam_list:
         raise ScenarioError("$.cameras: expected a non-empty list")
     cameras: list[CameraPose] = []
@@ -266,11 +269,15 @@ def parse_scenario(text: str) -> Scenario:
         path = f"$.cameras[{k}]"
         if isinstance(obj, dict) and "orbit" in obj:
             _as_object(obj, path, ("orbit",))
-            cameras.extend(_parse_orbit(obj["orbit"], path + ".orbit", radius))
+            path += ".orbit"
+            with _at(path):
+                cameras.extend(orbit_cameras(radius_m=geodetic.radius_m,
+                                             **_fields(obj["orbit"], path, _ORBIT)))
         else:
-            cameras.append(_parse_pose(obj, path))
+            with _at(path):
+                cameras.append(CameraPose(**_fields(obj, path, _POSE)))
 
-    methods = _expect(doc, "methods", "$", required=True)
+    methods = _required(doc, "methods", "$")
     if not isinstance(methods, list) or not methods:
         raise ScenarioError("$.methods: expected a non-empty list")
     for k, m in enumerate(methods):
@@ -278,20 +285,16 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"$.methods[{k}]: unknown method {m!r}; "
                                 f"expected one of {sorted(METHOD_NAMES)}")
 
-    oracle = _as_object(_expect(doc, "oracle", "$", default={}), "$.oracle",
-                        ("enabled", "lattice"))
-    oracle_enabled = _expect(oracle, "enabled", "$.oracle", default=False)
-    if not isinstance(oracle_enabled, bool):
-        raise ScenarioError(f"$.oracle.enabled: expected true or false, got {oracle_enabled!r}")
-    lattice_raw = _expect(oracle, "lattice", "$.oracle", default=DEFAULT_ORACLE_LATTICE)
-    lattice = tuple(_as_list(lattice_raw, "$.oracle.lattice", ("n_lat", "n_lon", "n_height"),
-                             lambda v, path: _as_int(v, path, minimum=2)))
-
+    oracle = _fields(doc.get("oracle", {}), "$.oracle", _ORACLE)
     return Scenario(name=name, seed=seed, geodetic=geodetic, terrain=terrain,
                     heightfield_spec=hf_spec, cameras=tuple(cameras),
-                    methods=tuple(methods), oracle_enabled=oracle_enabled,
-                    oracle_lattice=lattice)
+                    methods=tuple(methods), oracle_enabled=oracle["enabled"],
+                    oracle_lattice=oracle["lattice"])
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+    try:  # JSON text is UTF-8, whatever the locale's encoding
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"$: not UTF-8 text: {exc}") from None
+    return parse_scenario(text)

@@ -157,15 +157,19 @@ class HeightField:
 
     def sample_lats(self) -> np.ndarray:
         lo, hi = self.lat_range
-        if self.rows == 1:
-            return np.array([0.5 * (lo + hi)])
-        return np.linspace(hi, lo, self.rows)
+        return _axis_samples(hi, lo, self.rows)  # row 0 is the north edge
 
     def sample_lons(self) -> np.ndarray:
         lo, hi = self.lon_range
-        if self.cols == 1:
-            return np.array([0.5 * (lo + hi)])
-        return np.linspace(lo, hi, self.cols)
+        return _axis_samples(lo, hi, self.cols)
+
+
+def _axis_samples(first: float, last: float, count: int) -> np.ndarray:
+    """``count`` evenly spaced samples from ``first`` to ``last``, or the
+    midpoint for one sample."""
+    if count == 1:
+        return np.array([0.5 * (first + last)])
+    return np.linspace(first, last, count)
 
 
 @dataclass(frozen=True)
@@ -432,7 +436,8 @@ def synth_heightfield(kind: SynthKind | str, rows: int = 257, cols: int = 513,
 
 
 def _clamped_field(grid: np.ndarray, lat_range: tuple[float, float],
-                   lon_range: tuple[float, float], nodata: float = -9999.0) -> HeightField:
+                   lon_range: tuple[float, float],
+                   nodata: float = HeightField.nodata) -> HeightField:
     """HeightField over ``grid``, a float array the caller owns, with its
     samples clamped in place to HEIGHT_CLAMP once HeightField has checked
     that they are finite (so +-inf is rejected, not clamped)."""
@@ -455,7 +460,7 @@ def _parse_header_text(text: str, source: str) -> dict:
                 continue
             key, val = parts
         values[key.strip().lower()] = val.strip()
-    values.setdefault("nodata", "-9999")
+    values.setdefault("nodata", repr(HeightField.nodata))
 
     def invalid(key, why):
         return IngestError(f"{source}: header field '{key}' = {values[key]!r} {why}")

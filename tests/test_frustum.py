@@ -2,9 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from abincull import CameraPose, Frustum, Plane, frustum_corners, frustum_from_camera
 from abincull.cli import random_pose
+
+
+
+def magnitudes(max_exponent, signs=(-1.0, 0.0, 1.0)):
+    """Floats from 1e-300 up to 1e(max_exponent + 1) in size, with the given signs."""
+    return st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                     st.sampled_from(signs), st.floats(min_value=1.0, max_value=9.99),
+                     st.integers(min_value=-300, max_value=max_exponent))
+
+
+POINT = st.tuples(*[magnitudes(307)] * 3)
+# CameraPose rejects a direction whose norm overflows, from about 1.3e154
+DIRECTION = st.tuples(*[magnitudes(150)] * 3)
+POSITIVE = magnitudes(307, signs=(1.0,))
 
 
 class TestPlane:
@@ -79,6 +95,45 @@ class TestCameraPose:
         vectors[field] = value
         with pytest.raises(ValueError, match=field):
             CameraPose(**vectors, fov_y=1.0, aspect=1.0, near=1.0, far=10.0)
+
+    def test_rejects_finite_aspect_whose_half_width_overflows(self):
+        # aspect * tan(fov_y / 2) is the tangent of the side planes' half-angle
+        with pytest.raises(ValueError, match="aspect"):
+            CameraPose([0, 0, 0], [0, 0, -1], [0, 1, 0], 3.1415926, 1e302, 1.0, 10.0)
+
+    def test_rejects_finite_far_whose_plane_point_overflows(self):
+        with pytest.raises(ValueError, match="far"):
+            CameraPose([0, 0, 1e308], [0, 0, 1], [0, 1, 0], 1.0, 1.0, 1.0, 1e308)
+
+    def test_accepts_far_point_at_the_float_limit(self):
+        # eye + far * look_dir is 1.6e308, still finite
+        pose = CameraPose([0, 0, 8e307], [0, 0, 1], [0, 1, 0], 1.0, 1.0, 1.0, 8e307)
+        assert np.isfinite(frustum_from_camera(pose).planes[1].point).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(eye=POINT, look_dir=DIRECTION, up_hint=DIRECTION,
+           fov_y=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                           exclude_max=True),
+           aspect=POSITIVE, near_far=st.tuples(POSITIVE, POSITIVE))
+    @example(eye=(0.0, 0.0, 0.0), look_dir=(0.0, 0.0, -1.0), up_hint=(0.0, 1.0, 0.0),
+             fov_y=3.1415926, aspect=1e290, near_far=(1.0, 10.0))
+    @example(eye=(0.0, 0.0, 8e307), look_dir=(0.0, 0.0, 1.0), up_hint=(0.0, 1.0, 0.0),
+             fov_y=1.0, aspect=1.0, near_far=(1.0, 8e307))
+    # tiny vectors, whose squared norm underflows into the subnormals
+    @example(eye=(0.0, 0.0, 0.0), look_dir=(0.0, 1.4e-157, 0.0), up_hint=(0.0, 0.0, 1.0),
+             fov_y=1.0, aspect=1.0, near_far=(1.0, 2.0))
+    @example(eye=(0.0, 0.0, 0.0), look_dir=(0.0, 0.0, 1.0), up_hint=(0.0, 0.0, 1.4e-159),
+             fov_y=1.0, aspect=1.0, near_far=(1.0, 2.0))
+    def test_frustum_builds_for_every_accepted_pose(self, eye, look_dir, up_hint,
+                                                    fov_y, aspect, near_far):
+        near, far = sorted(near_far)
+        try:
+            pose = CameraPose(eye, look_dir, up_hint, fov_y, aspect, near, far)
+        except ValueError:
+            assume(False)
+        frustum = frustum_from_camera(pose)
+        for plane in frustum.planes:
+            assert np.isfinite(plane.normal).all() and np.isfinite(plane.point).all()
 
 
 class TestCanonicalFrustum:

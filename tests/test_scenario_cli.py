@@ -199,6 +199,54 @@ class TestParseScenario:
                                    "[0, 9000], got 12000.0")
 
 
+class TestParseDefaults:
+    """A field the document leaves out takes its constructor's default."""
+
+    def test_orbit_defaults_are_orbit_cameras_defaults(self):
+        doc = dict(MINIMAL, cameras=[{"orbit": {"frames": 4, "altitude_m": 5e5}}])
+        poses = parse_scenario(json.dumps(doc)).cameras
+        radius = 6_371_000.0 + 5e5
+        for pose, expected in zip(poses, orbit_cameras(4, 5e5), strict=True):
+            # plane "equatorial", fov_y 1.0, aspect 1.2, phase 0.0
+            assert pose.eye[1] == 0.0
+            assert (pose.fov_y, pose.aspect) == (1.0, 1.2)
+            for name in ("eye", "look_dir", "up_hint"):
+                np.testing.assert_array_equal(getattr(pose, name), getattr(expected, name))
+            assert (pose.near, pose.far) == (expected.near, expected.far)
+        np.testing.assert_array_equal(poses[0].eye, [0.0, 0.0, radius])
+
+    @pytest.mark.parametrize("key", ["near_m", "far_m"])
+    def test_null_near_or_far_keeps_the_altitude_derived_value(self, key):
+        doc = dict(MINIMAL, cameras=[{"orbit": {"frames": 2, "altitude_m": 5e5,
+                                                key: None}}])
+        for pose in parse_scenario(json.dumps(doc)).cameras:
+            assert (pose.near, pose.far) == (5e5 / 100.0, 3.0 * 5e5)
+
+    def test_terrain_ranges_default_to_the_full_globe(self):
+        sc = parse_scenario(json.dumps(MINIMAL))
+        assert sc.terrain.lon_range == (-math.pi, math.pi)
+        assert sc.terrain.lat_range == (-math.pi / 2, math.pi / 2)
+        assert (sc.terrain.start_level, sc.terrain.max_level) == (4, 4)
+
+    @pytest.mark.parametrize("start_level", [0, 2, 6])
+    def test_max_level_follows_a_given_start_level(self, start_level):
+        doc = dict(MINIMAL, terrain={"start_level": start_level})
+        sc = parse_scenario(json.dumps(doc))
+        assert (sc.terrain.start_level, sc.terrain.max_level) == (start_level, start_level)
+
+    def test_pose_up_hint_and_aspect_defaults(self):
+        pose = parse_scenario(json.dumps(MINIMAL)).cameras[0]
+        np.testing.assert_array_equal(pose.up_hint, [0.0, 1.0, 0.0])
+        assert pose.aspect == 1.0
+
+    def test_heightfield_spec_keeps_the_given_fields(self):
+        hf = {"amplitude": 100, "cols": 9, "kind": "SINUSOIDAL", "rows": 5.0}
+        sc = parse_scenario(json.dumps(dict(MINIMAL, terrain={"heightfield": hf})))
+        assert sc.heightfield_spec == {"kind": "SINUSOIDAL", "rows": 5, "cols": 9,
+                                       "amplitude": 100.0}
+        assert type(sc.heightfield_spec["rows"]) is int
+
+
 class TestOrbitCameras:
     def test_nadir_look(self):
         for pose in orbit_cameras(8, 5e5, plane="polar"):
@@ -301,6 +349,29 @@ class TestCliRun:
         path.write_text(json.dumps(doc))
         assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: $.methods[0]: unknown method")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_scenario_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: $:")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("pose, field", [
+        ({"eye": [0, 0, 7e6], "look_dir": [0, 0, -1], "fov_y": 3.1415926,
+          "aspect": 1e302, "near": 1e3, "far": 1e7}, "aspect"),
+        ({"eye": [0, 0, 1e308], "look_dir": [0, 0, 1], "fov_y": 1.0,
+          "near": 1e3, "far": 1e308}, "far"),
+    ], ids=["aspect", "far"])
+    def test_pose_whose_frustum_overflows_exits_2(self, tmp_path, scenarios_dir, capsys,
+                                                  command, pose, field):
+        doc = json.loads((scenarios_dir / "smoke.json").read_text())
+        doc["cameras"] = [pose]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: $.cameras[0]: {field}")
 
     def test_overrides_apply(self, tmp_path, scenarios_dir):
         sc = load_scenario(scenarios_dir / "smoke.json")
