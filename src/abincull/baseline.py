@@ -97,6 +97,30 @@ def classify_aabb8(box: Box3, frustum: Frustum) -> Classification:
     return Classification.INSIDE if inside else Classification.INTERSECT
 
 
+def _classify_aabb8_arrays(lo0, lo1, lo2, hi0, hi1, hi2,
+                          frustum: Frustum) -> list[Classification]:
+    """``classify_aabb8`` for a grid of boxes at once: the start-level array
+    pass of the traversal.  The bounds are numpy arrays of one shape; returns
+    one ``Classification`` per box, in C order.
+
+    The p/n-vertex distances are ``classify_aabb8``'s expressions, each
+    plane's vertex chosen by the same sign tests, so they have its bits; a
+    box is OUTSIDE when some plane separates it, which is what the scalar
+    test's early exit returns.
+    """
+    n0, n1, n2, off = np.array(frustum.plane_offsets).T.reshape((4, 6) + (1,) * np.ndim(lo0))
+    with np.errstate(all="ignore"):  # as in plain floats, overflow gives inf
+        a0, b0 = np.where(n0 >= 0.0, lo0, hi0), np.where(n0 >= 0.0, hi0, lo0)
+        a1, b1 = np.where(n1 >= 0.0, lo1, hi1), np.where(n1 >= 0.0, hi1, lo1)
+        a2, b2 = np.where(n2 >= 0.0, lo2, hi2), np.where(n2 >= 0.0, hi2, lo2)
+        outside = (a0 * n0 + a1 * n1 + a2 * n2 - off > 0.0).any(axis=0)
+        inside = (b0 * n0 + b1 * n1 + b2 * n2 - off <= 0.0).all(axis=0)
+    ordered = (lo0 <= hi0) & (lo1 <= hi1) & (lo2 <= hi2)  # false for a NaN bound
+    codes = np.where(ordered & outside, 0, np.where(ordered & inside, 1, 2))
+    verdicts = Classification.OUTSIDE, Classification.INSIDE, Classification.INTERSECT
+    return [verdicts[c] for c in codes.ravel().tolist()]
+
+
 @lru_cache(maxsize=64)
 def _unit_lattice(dims: tuple[int, int, int]) -> np.ndarray:
     axes = [np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5]) for n in dims]

@@ -52,6 +52,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .frustum import Frustum, Plane
 from .mapping import MapJet
 from .quadratic import (
@@ -280,18 +282,109 @@ def _classify_bin_scalars(value, jac, h_x, h_y, h_z,
                 continue
         # looked up here, not per tile: few tiles reach the kernel, and
         # hashing an Enum member runs a Python-level __hash__
-        mn, mx, _, _ = _EXTREMA[mode](0.0, b0, b1, b2,
-                                      h00, h01, h02, h11, h12, h22,
-                                      lo0, lo1, lo2, hi0, hi1, hi2)
-        if mx < d and mn <= mx:
+        state = _kernel_state(_EXTREMA[mode], b0, b1, b2, h00, h01, h02, h11, h12, h22,
+                              d, lo0, lo1, lo2, hi0, hi1, hi2)
+        if state is PlaneState.FULLY_OUTSIDE:
             return Classification.OUTSIDE, 0
-        # a NaN d, or no candidate value at all (mn > mx: every one was
-        # NaN), counts as straddling
-        if not d < mn or mn > mx:
+        if state is PlaneState.STRADDLES:
             straddled |= 1 << k
     if straddled:
         return Classification.INTERSECT, straddled
     return Classification.INSIDE, 0
+
+
+def _kernel_state(extrema, b0, b1, b2, h00, h01, h02, h11, h12, h22, d,
+                  lo0, lo1, lo2, hi0, hi1, hi2) -> PlaneState:
+    """One plane's state from the extrema kernel ``extrema`` over the box,
+    for the plane terms of ``_plane_terms``."""
+    mn, mx, _, _ = extrema(0.0, b0, b1, b2, h00, h01, h02, h11, h12, h22,
+                           lo0, lo1, lo2, hi0, hi1, hi2)
+    if mx < d and mn <= mx:
+        return PlaneState.FULLY_OUTSIDE
+    # a NaN d, or no candidate value at all (mn > mx: every one was NaN),
+    # counts as straddling
+    if not d < mn or mn > mx:
+        return PlaneState.STRADDLES
+    return PlaneState.FULLY_INSIDE
+
+
+def _classify_centred_bins(value, jac, h_x, h_y, h_z, w0, w1, w2, w01, w02, w12,
+                           sq0, sq1, sq2, frustum: Frustum,
+                           mode: ExtremaMode) -> list[tuple[Classification, int]]:
+    """``_classify_bin_scalars`` with all six planes, for a grid of centred
+    boxes at once: the start-level array pass of the traversal.
+
+    The jet rows are those of ``_sphere_jet_algebra`` and the box of bin k
+    has half-widths (w0, w1, w2)[k], with w01 = w0 * w1, w02 = w0 * w2,
+    w12 = w1 * w2 and sq_i = 0.5 * w_i * w_i.  The value rows are arrays of
+    the grid's shape; every other argument is an array (or float) that
+    broadcasts to it.  Returns one ``(classification, straddled)`` pair per
+    bin, in the grid's C order.
+
+    The plane terms come from ``_plane_terms`` with each plane component an
+    array over the six planes, and the interval bound and the corner bracket
+    are the scalar path's expressions in its order, so every (bin, plane)
+    pair gets the scalar path's bits and the same decision.  The bracket
+    decides only when eps is finite, and then no operand of its min and max
+    is NaN, so ``np.minimum``/``np.maximum`` give Python's ``min``/``max``.
+    A plane decides the same whatever the others do, and the scalar path's
+    early exit only skips planes, so a bin is OUTSIDE exactly when some
+    plane separates it.  The pairs that neither the bound nor the bracket
+    decided, of bins no plane has separated so far, go to the extrema kernel
+    one by one, bin by bin in plane order.
+    """
+    grid = np.shape(value[0])
+    # one "plane" whose six components are arrays over the frustum's planes
+    planes = np.array(frustum.plane_scalars).T.reshape((6, 6) + (1,) * len(grid))
+    with np.errstate(all="ignore"):  # as in plain floats, overflow gives inf
+        (b0, b1, b2, h00, h01, h02, h11, h12, h22, d), = _plane_terms(
+            value, jac, h_x, h_y, h_z, [tuple(planes)])
+        a0, a1, a2 = b0 * w0, b1 * w1, b2 * w2
+        c01, c02, c12 = h01 * w01, h02 * w02, h12 * w12
+        lin = (abs(a0) + abs(a1) + abs(a2)
+               + abs(c01) + abs(c02) + abs(c12))
+        q0, q1, q2 = h00 * sq0, h11 * sq1, h22 * sq2
+        qs, qa = q0 + q1 + q2, abs(q0) + abs(q1) + abs(q2)
+        eps = _PRETEST_REL * (lin + qa + abs(d))
+        outside = lin + 0.5 * (qs + qa) + eps < d
+        inside = d < 0.5 * (qs - qa) - lin - eps
+        u, v = a0 + c02, a1 + c12      # x2 = +w2
+        up, um = abs(u + v), abs(u - v)
+        u, v = a0 - c02, a1 - c12      # x2 = -w2
+        vp, vm = abs(u + v), abs(u - v)
+        e, f = a2 + c01, a2 - c01
+        bracket = ((qs + np.minimum(np.minimum(e - up, f - um), np.minimum(-f - vp, -e - vm))
+                    + eps <= d)
+                   & (d <= qs + np.maximum(np.maximum(e + up, f + um), np.maximum(vp - f, vm - e))
+                      - eps))
+    # d has the (6,) + grid shape, and so have the three masks
+    bits = (1 << np.arange(6)).reshape((6,) + (1,) * len(grid))
+    straddled = np.where(bracket & ~inside, bits, 0).sum(axis=0).ravel().tolist()
+    separated = outside.any(axis=0).ravel()
+    # bin-major, so that nonzero walks bin by bin in plane order
+    undecided = (~(outside | inside | bracket)).reshape(6, -1).T
+    bins, planes = np.nonzero(undecided & ~separated[:, None])
+    separated = separated.tolist()
+    if bins.size:
+        extrema = _EXTREMA[mode]
+        at = (planes, *np.unravel_index(bins, grid))
+        columns = [np.broadcast_to(x, d.shape)[at].tolist()
+                   for x in (b0, b1, b2, h00, h01, h02, h11, h12, h22, d)]
+        widths = [np.broadcast_to(w, grid)[at[1:]].tolist() for w in (w0, w1, w2)]
+        for n, k, *terms, hw0, hw1, hw2 in zip(bins.tolist(), planes.tolist(),
+                                                *columns, *widths):
+            if separated[n]:
+                continue
+            state = _kernel_state(extrema, *terms, -hw0, -hw1, -hw2, hw0, hw1, hw2)
+            if state is PlaneState.FULLY_OUTSIDE:
+                separated[n] = True
+            elif state is PlaneState.STRADDLES:
+                straddled[n] |= 1 << k
+    outside_0 = Classification.OUTSIDE, 0
+    inside_0 = Classification.INSIDE, 0
+    intersect = Classification.INTERSECT
+    return [outside_0 if out else (intersect, mask) if mask else inside_0
+            for out, mask in zip(separated, straddled)]
 
 
 def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,

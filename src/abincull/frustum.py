@@ -9,6 +9,7 @@ its signed distance to all six planes is <= 0 (boundary counts as inside).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,11 @@ class Frustum:
         self.eye = np.asarray(eye, dtype=float)
         # packed forms for batched and scalar-path distance queries
         self._normals = np.stack([p.normal for p in planes])          # (6, 3)
-        self._offsets = np.array([p.normal @ p.point for p in planes])  # (6,)
+        with np.errstate(over="ignore"):
+            self._offsets = np.array([p.normal @ p.point for p in planes])  # (6,)
+        if not np.isfinite(self._offsets).all():
+            raise ValueError(f"plane offsets normal . point overflow, got "
+                             f"{self._offsets.tolist()}")
         self.plane_scalars = tuple(
             (float(p.normal[0]), float(p.normal[1]), float(p.normal[2]),
              float(p.point[0]), float(p.point[1]), float(p.point[2]))
@@ -132,11 +137,18 @@ class CameraPose:
             raise ValueError(f"need 0 < near < far < inf, got near={self.near} "
                              f"far={self.far}")
         (ex, ey, ez), (lx, ly, lz) = self.eye.tolist(), self.look_dir.tolist()
-        if not all(map(math.isfinite, (ex + self.far * lx, ey + self.far * ly,
-                                       ez + self.far * lz))):
+        far_point = ex + self.far * lx, ey + self.far * ly, ez + self.far * lz
+        if not all(map(math.isfinite, far_point)):
             raise ValueError(f"far point eye + far * look_dir overflows, got far={self.far}")
         if abs(float(self.look_dir @ self.up_hint)) >= 1.0 - 1e-9:
             raise ValueError("look_dir and up_hint must not be collinear")
+        # Frustum rejects a plane offset normal . point that overflows.  Every
+        # plane point is the eye, the far point or the near point, whose
+        # coordinates lie between theirs; while those are all below a quarter
+        # of the float limit, no unit normal's dot product with them can
+        # overflow, so only a pose beyond that builds its frustum to tell
+        if max(map(abs, (ex, ey, ez, *far_point))) > sys.float_info.max / 4:
+            frustum_from_camera(self)
 
     def basis(self):
         """Right-handed (look, right, up) orthonormal basis."""

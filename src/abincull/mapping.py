@@ -101,16 +101,26 @@ def _sphere_point_rows(corners) -> list[tuple[float, float, float]]:
     longitude innermost), as ``world_aabb_of_bin`` passes them.
 
     Reads the two radii, latitudes and longitudes from the first and last
-    corner and takes sin and cos once per latitude and longitude.  Each
-    point is computed with ``math`` in ``sphere_point``'s order of
-    operations, ``(r cos lat) sin lon``, ``r sin lat``, ``(r cos lat) cos lon``,
-    so it has ``sphere_point``'s bits.  Returns plain float triples.
+    corner and takes sin and cos once per latitude and longitude; the points
+    are ``_sphere_corner_points`` of those.  Returns plain float triples.
     """
     r0, lat0, lon0 = corners[0]
     r1, lat1, lon1 = corners[7]
     lats = (math.sin(lat0), math.cos(lat0)), (math.sin(lat1), math.cos(lat1))
-    s0, c0 = math.sin(lon0), math.cos(lon0)
-    s1, c1 = math.sin(lon1), math.cos(lon1)
+    return _sphere_corner_points(r0, r1, lats, math.sin(lon0), math.cos(lon0),
+                                 math.sin(lon1), math.cos(lon1))
+
+
+def _sphere_corner_points(r0, r1, lats, s0, c0, s1, c1):
+    """The 8 corner points of ``_sphere_point_rows`` from the radii ``r0``,
+    ``r1``, the two latitudes' ``(sin, cos)`` pairs ``lats`` and the two
+    longitudes' sines and cosines.
+
+    Each point is computed in ``sphere_point``'s order of operations,
+    ``(r cos lat) sin lon``, ``r sin lat``, ``(r cos lat) cos lon``, so it has
+    ``sphere_point``'s bits.  The arguments may be floats or numpy arrays
+    that broadcast together; the start-level array pass passes arrays.
+    """
     out = []
     for r in (r0, r1):
         for s_lat, c_lat in lats:
@@ -125,8 +135,14 @@ def _sphere_jet_rows(r: float, lat: float, lon: float):
     Shared by the array-building constructor and the scalar classification
     fast path so both see bit-identical derivative values.
     """
-    sp, cp = math.sin(lat), math.cos(lat)
-    st, ct = math.sin(lon), math.cos(lon)
+    return _sphere_jet_algebra(r, math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon))
+
+
+def _sphere_jet_algebra(r, sp, cp, st, ct):
+    """``_sphere_jet_rows`` from r and the sines and cosines of lat (``sp``,
+    ``cp``) and lon (``st``, ``ct``).  The arguments may be floats or numpy
+    arrays that broadcast together; every entry takes the same operations in
+    the same order either way, so both give the same bits."""
     value = (r * cp * st, r * sp, r * cp * ct)
     jac = ((cp * st, -r * sp * st, r * cp * ct),
            (sp, r * cp, 0.0),

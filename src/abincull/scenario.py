@@ -38,6 +38,7 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "orbit_cameras",
+    "MAX_ORBIT_FRAMES",
 ]
 
 # CLI-facing method names and their (traversal method, extrema mode) meaning.
@@ -46,6 +47,11 @@ METHOD_NAMES = {
     "ANALYTIC_BIN_EXACT": (Method.ANALYTIC_BIN, ExtremaMode.EXACT),
     "AABB8": (Method.AABB8, None),
 }
+
+
+# Most frames one orbit entry may ask for: each is one pose held in memory and
+# one traversal per method.
+MAX_ORBIT_FRAMES = 10_000
 
 
 class ScenarioError(ValueError):
@@ -164,11 +170,13 @@ def _as_number_or_null(value, path):
     return None if value is None else _as_number(value, path)
 
 
-def _as_int(value, path, minimum=None):
+def _as_int(value, path, minimum=None, maximum=None):
     if not _as_number(value, path).is_integer():
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{path}: expected at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"{path}: expected at most {maximum}, got {value!r}")
     return int(value)
 
 
@@ -197,13 +205,14 @@ def _as_kind(value, path):
 _REQUIRED = object()
 _OMIT = object()
 _AT_LEAST_2 = partial(_as_int, minimum=2)
+_FRAMES = partial(_as_int, maximum=MAX_ORBIT_FRAMES)
 _POSE = {  # CameraPose, which has no defaults
     "eye": (_as_list("xyz"), _REQUIRED), "look_dir": (_as_list("xyz"), _REQUIRED),
     "up_hint": (_as_list("xyz"), (0, 1, 0)), "fov_y": (_as_number, _REQUIRED),
     "aspect": (_as_number, 1.0), "near": (_as_number, _REQUIRED), "far": (_as_number, _REQUIRED),
 }
 _ORBIT = {  # orbit_cameras; a null near_m or far_m is derived from the altitude
-    "frames": (_as_int, _REQUIRED), "altitude_m": (_as_number, _REQUIRED),
+    "frames": (_FRAMES, _REQUIRED), "altitude_m": (_as_number, _REQUIRED),
     "plane": (_as_is, _OMIT), "fov_y": (_as_number, _OMIT), "aspect": (_as_number, _OMIT),
     "near_m": (_as_number_or_null, _OMIT), "far_m": (_as_number_or_null, _OMIT),
     "phase": (_as_number, _OMIT),

@@ -6,7 +6,9 @@ min/max terrain height inside it.  A tile maps to a parameter-space bin
 (radius, latitude, longitude) whose curved image is classified against the
 frustum either with the quadratic bin test or with the 8-corner world-box
 baseline; traversal recurses only into tiles that straddle the frustum
-boundary.
+boundary.  The start-level grid is classified in one numpy pass per frame,
+over frustum-independent geometry cached on the pyramid, with the scalar
+path's bits; tiles below it are classified one by one.
 """
 
 from __future__ import annotations
@@ -22,10 +24,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import classify_aabb8, world_aabb_of_bin
-from .cull import ALL_PLANES, Classification, CullConfig, _classify_bin_scalars
+from .baseline import _classify_aabb8_arrays, classify_aabb8, world_aabb_of_bin
+from .cull import (
+    ALL_PLANES,
+    Classification,
+    CullConfig,
+    _classify_bin_scalars,
+    _classify_centred_bins,
+)
 from .frustum import Frustum
-from .mapping import GeodeticParams, _sphere_jet_rows, _sphere_point_rows
+from .mapping import (
+    GeodeticParams,
+    _sphere_corner_points,
+    _sphere_jet_algebra,
+    _sphere_jet_rows,
+    _sphere_point_rows,
+)
 from .quadratic import Box3
 
 __all__ = [
@@ -270,6 +284,7 @@ class MinMaxPyramid:
         self.lon_range = lon_range
         self.max_level = len(levels) - 1
         self._start_grids: dict[int, tuple[GeoTile, ...]] = {}
+        self._start_geometry: dict[tuple, tuple] = {}
 
     def _check_block(self, level: int, i: int, j: int, rows: int,
                      cols: int) -> tuple[int, int]:
@@ -322,6 +337,76 @@ class MinMaxPyramid:
             grid = tuple(self.block(level, 0, 0, *_grid_shape(level)))
             self._start_grids[level] = grid
         return grid
+
+    def start_geometry(self, level: int, method: Method, radius_m: float,
+                       inflation: float) -> tuple:
+        """What ``classify_tile`` computes for every tile of ``start_grid(level)``
+        before it looks at the frustum, as numpy arrays over the grid: for
+        ANALYTIC_BIN the sphere jet rows at the bin centres, the inflated
+        half-widths and their products (``_classify_centred_bins``' arguments);
+        for AABB8 the bounds of each 8-corner world hull
+        (``_classify_aabb8_arrays``').  Built on the first call for (level,
+        method, radius_m, inflation), then shared; see ``_start_geometry``.
+        """
+        key = level, method, radius_m, inflation
+        geometry = self._start_geometry.get(key)
+        if geometry is None:
+            self._check_block(level, 0, 0, 1, 1)
+            geometry = _start_geometry(self, level, method, radius_m, inflation)
+            self._start_geometry[key] = geometry
+        return geometry
+
+
+def _math_sin_cos(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sine and cosine of each angle, taken with ``math`` as the scalar path
+    takes them (numpy's may differ in the last bit on some hosts)."""
+    values = angles.ravel().tolist()
+    return (np.array(list(map(math.sin, values))).reshape(angles.shape),
+            np.array(list(map(math.cos, values))).reshape(angles.shape))
+
+
+def _start_geometry(pyramid: MinMaxPyramid, level: int, method: Method,
+                    radius_m: float, inflation: float) -> tuple:
+    """``MinMaxPyramid.start_geometry``, built.
+
+    Each tile's bounds come from ``_edges``, which is ``tile_from_indices``'
+    formula, and its heights from the level's arrays; every later value is
+    ``classify_tile``'s expression on those floats, as numpy arithmetic in
+    the same order, with latitude terms shaped (n_lat, 1), longitude terms
+    (1, n_lon) and the rest (n_lat, n_lon).  Sines and cosines are taken
+    once per row and once per column.  So each tile's values have the bits
+    ``classify_tile`` computes for it.
+    """
+    n_lat, n_lon = _grid_shape(level)
+    lat = _edges(*pyramid.lat_range, n_lat)[:, None]
+    lon = _edges(*pyramid.lon_range, n_lon)[None, :]
+    lat_lo, lat_hi, lon_lo, lon_hi = lat[:-1], lat[1:], lon[:, :-1], lon[:, 1:]
+    h_lo, h_hi = pyramid.levels[level]
+    c0 = radius_m + 0.5 * (h_lo + h_hi)
+    c1 = 0.5 * (lat_lo + lat_hi)
+    c2 = 0.5 * (lon_lo + lon_hi)
+    hw0 = 0.5 * (h_hi - h_lo)
+    hw1 = 0.5 * (lat_hi - lat_lo)
+    hw2 = 0.5 * (lon_hi - lon_lo)
+    if method is Method.ANALYTIC_BIN:
+        f = inflation
+        w0, w1, w2 = f * hw0, f * hw1, f * hw2
+        jet = _sphere_jet_algebra(c0, *_math_sin_cos(c1), *_math_sin_cos(c2))
+        return (*jet, w0, w1, w2, w0 * w1, w0 * w2, w1 * w2,
+                0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2)
+    # world_aabb_of_bin over the box (-hw, hw) about the centre
+    points = _sphere_corner_points(
+        c0 + -hw0, c0 + hw0, (_math_sin_cos(c1 + -hw1), _math_sin_cos(c1 + hw1)),
+        *_math_sin_cos(c2 + -hw2), *_math_sin_cos(c2 + hw2))
+    lo, hi = [], []
+    for coords in zip(*points):  # each of shape (n_lat, n_lon), as the radii
+        # Python's min and max keep the first of equal values (0.0 and -0.0)
+        low = high = coords[0]
+        for x in coords[1:]:
+            low, high = np.where(x < low, x, low), np.where(x > high, x, high)
+        lo.append(low)
+        hi.append(high)
+    return (*lo, *hi)
 
 
 def _closed_minmax(h_min: np.ndarray, h_max: np.ndarray, coords: np.ndarray,
@@ -430,8 +515,9 @@ def synth_heightfield(kind: SynthKind | str, rows: int = 257, cols: int = 513,
     else:
         if not 0.0 <= amplitude <= 9000.0:
             raise ValueError(f"amplitude must be in [0, 9000], got {amplitude}")
-        lat_g, lon_g = np.meshgrid(lats, lons, indexing="ij")
-        grid = amplitude * (1.0 + np.sin(frequency * lat_g) * np.cos(frequency * lon_g)) / 2.0
+        # one sine per row and one cosine per column
+        grid = amplitude * (1.0 + np.outer(np.sin(frequency * lats),
+                                           np.cos(frequency * lons))) / 2.0
     return _clamped_field(grid, lat_range, lon_range)
 
 
@@ -600,6 +686,18 @@ def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
     return result[0] if planes is None else result
 
 
+def _classify_start_grid(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
+                         params: GeodeticParams, method: Method):
+    """``classify_tile(tile, ..., planes=ALL_PLANES)`` for every tile of
+    ``pyramid.start_grid(cfg.start_level)``, in its order, by one array pass."""
+    cull = cfg.cull
+    geometry = pyramid.start_geometry(cfg.start_level, method, params.radius_m,
+                                      cull.inflation)
+    if method is Method.ANALYTIC_BIN:
+        return _classify_centred_bins(*geometry, frustum, cull.extrema_mode)
+    return list(zip(_classify_aabb8_arrays(*geometry, frustum), repeat(ALL_PLANES)))
+
+
 def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
              params: GeodeticParams, method: Method,
              sink=None) -> tuple[list[GeoTile], TraversalStats]:
@@ -612,11 +710,18 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     visible leaves.  ``sink(tile, classification)``, when given,
     observes every classified tile.
 
+    The start grid is classified against all six planes in one numpy pass
+    per traversal (``_classify_start_grid``) over ``pyramid.start_geometry``,
+    which is built on the first traversal for its level, method, radius and
+    inflation.  Each start tile gets the
+    verdict and straddle mask ``classify_tile`` would give it.  Then the
+    depth-first walk runs from each start tile in row order; tiles below the
+    start level are classified one by one by ``classify_tile``.
+
     Each stacked tile carries a plane mask (Assarsson & Moeller's plane
-    masking): start-grid tiles test all six planes, and the children of an
-    INTERSECT tile test only the planes it straddled, since a child's
-    parameter bin lies inside its parent's.  The analytic test skips the
-    other planes; AABB8 always tests all six.
+    masking): the children of an INTERSECT tile test only the planes it
+    straddled, since a child's parameter bin lies inside its parent's.  The
+    analytic test skips the other planes; AABB8 always tests all six.
     """
     if pyramid.max_level < cfg.max_level:
         raise ValueError("pyramid is shallower than cfg.max_level")
@@ -630,31 +735,38 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     visible: list[GeoTile] = []
     outside = inside = intersect = leaves = depth = 0
     outside_cls, inside_cls = Classification.OUTSIDE, Classification.INSIDE
-    stack = list(zip(reversed(pyramid.start_grid(cfg.start_level)), repeat(ALL_PLANES)))
-    # classify_tile and subdivide are looked up per call, so that wrappers
-    # installed on the module see every tile
-    while stack:
-        tile, planes = stack.pop()
-        cls, straddled = classify_tile(tile, frustum, params, method, cull,
-                                       planes=planes)
-        level = tile.level
-        if level > depth:
-            depth = level
-        if sink is not None:
-            sink(tile, cls)
-        if cls is outside_cls:
-            outside += 1
-        elif cls is inside_cls:
-            inside += 1
-            visible.append(tile)
-        else:
-            intersect += 1
-            if level < max_level:
-                a, b, c, d = subdivide(tile, pyramid)
-                stack += ((d, straddled), (c, straddled), (b, straddled), (a, straddled))
-            else:
-                leaves += 1
+    start_grid = pyramid.start_grid(cfg.start_level)
+    stack = []
+    for tile, (cls, straddled) in zip(start_grid, _classify_start_grid(
+            frustum, cfg, pyramid, params, method)):
+        # this start tile, then its subtree off the stack
+        while True:
+            level = tile.level
+            if level > depth:
+                depth = level
+            if sink is not None:
+                sink(tile, cls)
+            if cls is outside_cls:
+                outside += 1
+            elif cls is inside_cls:
+                inside += 1
                 visible.append(tile)
+            else:
+                intersect += 1
+                if level < max_level:
+                    a, b, c, d = subdivide(tile, pyramid)
+                    stack += ((d, straddled), (c, straddled), (b, straddled), (a, straddled))
+                else:
+                    leaves += 1
+                    visible.append(tile)
+            if not stack:
+                break
+            tile, planes = stack.pop()
+            # classify_tile and subdivide are looked up per call, so that
+            # wrappers installed on the module see every tile below the start
+            # level
+            cls, straddled = classify_tile(tile, frustum, params, method, cull,
+                                           planes=planes)
     stats = TraversalStats(visited=outside + inside + intersect, outside=outside,
                            inside=inside, intersect=intersect,
                            leaves_rendered=inside + leaves, max_depth_reached=depth,

@@ -105,7 +105,10 @@ class TestCornerTestDifferential:
 
     def test_bundled_aabb8_tiles(self, scenarios_dir, monkeypatch):
         # every AABB8 tile of the bundled frames: same verdict as the 8-corner
-        # reference, and the same hull bits as under numpy's sphere_point
+        # reference, and the same hull bits as under numpy's sphere_point.
+        # Tiles below the start level go through the wrapped per-tile calls;
+        # the start level's hulls are built as arrays once per pyramid and its
+        # verdicts come from the traversal's sink
         real_hull, real_test = terrain.world_aabb_of_bin, terrain.classify_aabb8
         seen = {"hull": 0, "test": 0}
 
@@ -124,15 +127,28 @@ class TestCornerTestDifferential:
             return got
         monkeypatch.setattr(terrain, "world_aabb_of_bin", hull)
         monkeypatch.setattr(terrain, "classify_aabb8", corner_test)
-        visited = 0
+        visited = start = 0
         for name, frames in (("orbit_sinusoidal", range(0, 97, 8)), ("peak_orbit", (3, 12))):
             sc = load_scenario(scenarios_dir / f"{name}.json")
             pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+            level = sc.terrain.start_level
+            grid = pyramid.start_grid(level)
             for frame in frames:
                 frustum = frustum_from_camera(sc.cameras[frame])
-                _, stats = traverse(frustum, sc.terrain, pyramid, sc.geodetic, Method.AABB8)
+                verdicts = []
+                _, stats = traverse(frustum, sc.terrain, pyramid, sc.geodetic, Method.AABB8,
+                                    sink=lambda t, c: t.level == level and verdicts.append(c))
                 visited += stats.visited
-        assert seen == {"hull": visited, "test": visited} and visited > 0
+                start += len(grid)
+                hulls = zip(*(a.ravel().tolist() for a in pyramid.start_geometry(
+                    level, Method.AABB8, sc.geodetic.radius_m, sc.terrain.cull.inflation)))
+                for tile, bounds, got in zip(grid, hulls, verdicts, strict=True):
+                    want = real_hull(SPHERE, *terrain.tile_bin(tile, sc.geodetic))
+                    assert (np.array(bounds).view(np.int64).tolist()
+                            == np.concatenate([want.lo, want.hi]).view(np.int64).tolist())
+                    assert got is corner_reference(want, frustum), (tile.tile_id, got)
+        assert seen == {"hull": visited - start, "test": visited - start}
+        assert visited > start > 0
 
     def test_integer_boxes_touching_planes(self):
         # lo/hi run over every integer interval in [-3, 3], so many corners

@@ -105,6 +105,19 @@ class TestCameraPose:
         with pytest.raises(ValueError, match="far"):
             CameraPose([0, 0, 1e308], [0, 0, 1], [0, 1, 0], 1.0, 1.0, 1.0, 1e308)
 
+    def test_rejects_pose_whose_plane_offsets_overflow(self):
+        # finite eye and far point, but n . p is about -2.6e308 for the near plane
+        with pytest.raises(ValueError, match="plane offsets"):
+            CameraPose([1.5e308] * 3, [-1, -1, -1], [0, 1, 0], 1.0, 1.2, 1.0, 1e300)
+
+    def test_frustum_rejects_non_finite_plane_offset(self, canonical_frustum):
+        planes = list(canonical_frustum.planes)
+        planes[2] = Plane([1.0, 0.0, 0.0], [1.7e308, 0.0, 0.0])
+        Frustum(planes, canonical_frustum.eye)
+        planes[2] = Plane(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), [1.7e308, 1.7e308, 0.0])
+        with pytest.raises(ValueError, match="plane offsets"):
+            Frustum(planes, canonical_frustum.eye)
+
     def test_accepts_far_point_at_the_float_limit(self):
         # eye + far * look_dir is 1.6e308, still finite
         pose = CameraPose([0, 0, 8e307], [0, 0, 1], [0, 1, 0], 1.0, 1.0, 1.0, 8e307)
@@ -134,6 +147,7 @@ class TestCameraPose:
         frustum = frustum_from_camera(pose)
         for plane in frustum.planes:
             assert np.isfinite(plane.normal).all() and np.isfinite(plane.point).all()
+        assert all(map(math.isfinite, (off for *_, off in frustum.plane_offsets)))
 
 
 class TestCanonicalFrustum:

@@ -18,9 +18,9 @@ from abincull import (
     sphere_point,
     tile_bin,
 )
-from abincull import cli, terrain
+from abincull import cli, scenario, terrain
 from abincull.cli import main, run_compare, run_scenario
-from abincull.scenario import METHOD_NAMES, load_scenario
+from abincull.scenario import MAX_ORBIT_FRAMES, METHOD_NAMES, load_scenario
 from conftest import repo_root
 
 MINIMAL = {
@@ -76,6 +76,16 @@ class TestParseScenario:
         assert len(sc.cameras) == 6
         for pose in sc.cameras:
             assert np.linalg.norm(pose.eye) == pytest.approx(6_371_000.0 + 5e5)
+
+    @pytest.mark.parametrize("frames", [1e300, MAX_ORBIT_FRAMES + 1], ids=["1e300", "cap_plus_1"])
+    def test_orbit_frames_above_the_cap_rejected_before_any_pose(self, monkeypatch, frames):
+        def no_poses(*args, **kwargs):
+            raise AssertionError("orbit_cameras called")
+        monkeypatch.setattr(scenario, "orbit_cameras", no_poses)
+        doc = dict(MINIMAL, cameras=[{"orbit": {"frames": frames, "altitude_m": 5e5}}])
+        with pytest.raises(ScenarioError, match=r"^\$\.cameras\[0\]\.orbit\.frames: "
+                                                rf"expected at most {MAX_ORBIT_FRAMES}, "):
+            parse_scenario(json.dumps(doc))
 
     def test_orbit_unknown_field(self):
         doc = dict(MINIMAL, cameras=[{"orbit": {"frames": 2, "altitude_m": 1e5,
@@ -363,7 +373,10 @@ class TestCliRun:
           "aspect": 1e302, "near": 1e3, "far": 1e7}, "aspect"),
         ({"eye": [0, 0, 1e308], "look_dir": [0, 0, 1], "fov_y": 1.0,
           "near": 1e3, "far": 1e308}, "far"),
-    ], ids=["aspect", "far"])
+        # every coordinate finite, but normal . point overflows for some planes
+        ({"eye": [1.5e308, 1.5e308, 1.5e308], "look_dir": [-1, -1, -1], "fov_y": 1.0,
+          "near": 1.0, "far": 1e300}, "plane offsets"),
+    ], ids=["aspect", "far", "plane_offsets"])
     def test_pose_whose_frustum_overflows_exits_2(self, tmp_path, scenarios_dir, capsys,
                                                   command, pose, field):
         doc = json.loads((scenarios_dir / "smoke.json").read_text())
@@ -525,7 +538,8 @@ class TestFrameLoop:
     def test_classify_tile_probe_contract(self, tmp_path, scenarios_dir, monkeypatch):
         # perfbench times each abincull.terrain.classify_tile call as one
         # tile's classification and replays sampled calls by unpacking five
-        # positional arguments
+        # positional arguments; the start grid is classified by one array
+        # pass, so every tile below the start level is one call
         calls = []
         real = terrain.classify_tile
 
@@ -534,16 +548,18 @@ class TestFrameLoop:
             return real(*args, **kwargs)
         monkeypatch.setattr(terrain, "classify_tile", wrapper)
         sc = load_scenario(scenarios_dir / "smoke.json")
+        start = len(root_tiles(sc.terrain)) * len(sc.cameras)
         for name in sc.methods:
             calls.clear()
             rows = run_scenario(dataclasses.replace(sc, methods=(name,)), tmp_path)
-            assert len(calls) == sum(row["visited"] for row in rows) > 0, name
+            assert len(calls) == sum(row["visited"] for row in rows) - start > 0, name
             assert set(calls) == {5}, name
 
     def test_corner_spans_probe_contract(self, tmp_path, scenarios_dir, monkeypatch):
         # perfbench times abincull.terrain.world_aabb_of_bin and
         # abincull.terrain.classify_aabb8 as the AABB8 corner map and corner
-        # test, so the traversal calls each once per AABB8 tile
+        # test, so the traversal calls each once per AABB8 tile below the
+        # start level (the start grid is one array pass)
         calls = {"world_aabb_of_bin": 0, "classify_aabb8": 0}
 
         def counting(name):
@@ -557,9 +573,10 @@ class TestFrameLoop:
             monkeypatch.setattr(terrain, name, counting(name))
         sc = load_scenario(scenarios_dir / "smoke.json")
         rows = run_scenario(dataclasses.replace(sc, methods=("AABB8",)), tmp_path)
-        visited = sum(row["visited"] for row in rows)
-        assert visited > 0
-        assert calls == {"world_aabb_of_bin": visited, "classify_aabb8": visited}
+        below_start = (sum(row["visited"] for row in rows)
+                       - len(root_tiles(sc.terrain)) * len(sc.cameras))
+        assert below_start > 0
+        assert calls == {"world_aabb_of_bin": below_start, "classify_aabb8": below_start}
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_trace_targets_probe_contract(self, tmp_path, scenarios_dir, monkeypatch,

@@ -31,9 +31,14 @@ from abincull import (
     traverse,
     write_heightfield,
 )
+from abincull import cull
+from abincull.baseline import world_aabb_of_bin
 from abincull.cli import _orbit_pose
-from abincull.scenario import load_scenario
-from abincull.terrain import _edges, _grid_shape
+from abincull.cull import ALL_PLANES
+from abincull.mapping import _sphere_jet_rows, _sphere_point_rows
+from abincull.quadratic import Box3
+from abincull.scenario import METHOD_NAMES, load_scenario
+from abincull.terrain import _classify_start_grid, _edges, _grid_shape
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -315,6 +320,18 @@ class TestSynthHeightfield:
                                amplitude=2000.0, frequency=8.0)
         assert hf.samples.min() >= 0.0
         assert hf.samples.max() <= 2000.0
+
+    @pytest.mark.parametrize("shape, ranges, frequency", [
+        ((257, 513), {}, 8.0), ((2, 2), {}, 8.0), ((100, 37), {}, 3.3),
+        ((33, 65), {"lat_range": (0.1, 0.7), "lon_range": (-2.0, 1.0)}, 21.0)])
+    def test_sinusoidal_matches_full_grid_formula(self, shape, ranges, frequency):
+        # one sine per row and one cosine per column: the bits of evaluating
+        # the formula at every node
+        hf = synth_heightfield("SINUSOIDAL", *shape, **ranges, amplitude=2000.0,
+                               frequency=frequency)
+        lat_g, lon_g = np.meshgrid(hf.sample_lats(), hf.sample_lons(), indexing="ij")
+        want = 2000.0 * (1.0 + np.sin(frequency * lat_g) * np.cos(frequency * lon_g)) / 2.0
+        assert hf.samples.tobytes() == want.tobytes()
 
     def test_sinusoidal_amplitude_cap(self):
         with pytest.raises(ValueError):
@@ -959,3 +976,122 @@ class TestPlaneMask:
                     cls, _ = classify_tile(tile, frustum, PARAMS, method, cull,
                                            planes=0b111111)
                     assert cls is plain, (method, mode, tile.tile_id)
+
+
+def flat_leaves(rows):
+    """The floats of nested jet-row tuples, in order."""
+    if isinstance(rows, tuple):
+        return [x for row in rows for x in flat_leaves(row)]
+    return [rows]
+
+
+class TestStartLevelArrayPass:
+    """The start grid's one array pass against classify_tile, tile by tile."""
+
+    @staticmethod
+    def random_pose(rng, params):
+        """Any position from inside the globe to three radii out, looking
+        anywhere, so that planes cut the start grid at every angle."""
+        eye = rng.normal(size=3)
+        eye *= params.radius_m * rng.uniform(0.5, 3.0) / np.linalg.norm(eye)
+        near = rng.uniform(1.0, 1e5)
+        return CameraPose(eye, rng.normal(size=3), rng.normal(size=3),
+                          rng.uniform(0.2, 2.5), rng.uniform(0.5, 2.0), near,
+                          near * rng.uniform(2.0, 1e3))
+
+    @pytest.fixture(scope="class")
+    def terrains(self):
+        """(cfg, params, pyramid, frusta): the bundled terrains and frames,
+        and a sinusoidal field over part of the globe with another radius
+        and inflation; each with random frusta."""
+        root = Path(__file__).resolve().parents[1] / "scenarios"
+        terrains = []
+        for name in ("orbit_sinusoidal", "peak_orbit", "smoke"):
+            sc = load_scenario(root / f"{name}.json")
+            terrains.append((sc.terrain, sc.geodetic,
+                             build_minmax_pyramid(sc.build_heightfield(), sc.terrain),
+                             [frustum_from_camera(pose) for pose in sc.cameras[::9]]))
+        cfg = TerrainConfig(start_level=3, max_level=4, lat_range=(-1.0, 0.5),
+                            lon_range=(-3.0, 2.0), cull=CullConfig(inflation=1.7))
+        hf = synth_heightfield("SINUSOIDAL", 65, 129, cfg.lat_range, cfg.lon_range,
+                               amplitude=9000.0, frequency=21.0)
+        terrains.append((cfg, GeodeticParams(3.4e6), build_minmax_pyramid(hf, cfg), []))
+        rng = np.random.default_rng(26)
+        for _, params, _, frusta in terrains:
+            frusta += [frustum_from_camera(_orbit_pose(rng, params)) for _ in range(8)]
+            frusta += [frustum_from_camera(self.random_pose(rng, params)) for _ in range(8)]
+        return terrains
+
+    @pytest.mark.parametrize("name", sorted(METHOD_NAMES))
+    def test_verdicts_and_masks_match_classify_tile(self, terrains, monkeypatch, name):
+        method, mode = METHOD_NAMES[name]
+        kernel_calls = []
+        real_kernel = cull._kernel_state
+
+        def counting_kernel(*args):
+            kernel_calls.append(args)
+            return real_kernel(*args)
+        seen = set()
+        for cfg, params, pyramid, frusta in terrains:
+            if mode is not None:
+                cfg = dataclasses.replace(
+                    cfg, cull=dataclasses.replace(cfg.cull, extrema_mode=mode))
+            grid = pyramid.start_grid(cfg.start_level)
+            for frustum in frusta:
+                with monkeypatch.context() as patch:
+                    patch.setattr(cull, "_kernel_state", counting_kernel)
+                    got = _classify_start_grid(frustum, cfg, pyramid, params, method)
+                want = [classify_tile(t, frustum, params, method, cfg.cull, planes=ALL_PLANES)
+                        for t in grid]
+                assert got == want
+                seen |= {cls for cls, _ in got}
+        assert seen == set(Classification)
+        # the analytic pass handed some planes the bound and bracket left open
+        # to the kernel
+        assert bool(kernel_calls) == (method is Method.ANALYTIC_BIN)
+
+    def test_geometry_matches_scalar_builders(self, terrains):
+        # compared as int64 bits, so that a signed zero or a NaN counts
+        for cfg, params, pyramid, _ in terrains:
+            level, f = cfg.start_level, cfg.cull.inflation
+            shape = _grid_shape(level)
+            jet = pyramid.start_geometry(level, Method.ANALYTIC_BIN, params.radius_m, f)
+            hull = pyramid.start_geometry(level, Method.AABB8, params.radius_m, f)
+            got_jet = np.stack(np.broadcast_arrays(*flat_leaves(jet), np.zeros(shape)))
+            got_hull = np.stack(np.broadcast_arrays(*hull))
+            for tile in pyramid.start_grid(level):
+                center, offsets = tile_bin(tile, params)
+                c0, c1, c2 = center.tolist()
+                hw0, hw1, hw2 = offsets.hi.tolist()
+                w0, w1, w2 = f * hw0, f * hw1, f * hw2
+                want_jet = flat_leaves(_sphere_jet_rows(c0, c1, c2)) + [
+                    w0, w1, w2, w0 * w1, w0 * w2, w1 * w2,
+                    0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2, 0.0]
+                box = world_aabb_of_bin(_sphere_point_rows, (c0, c1, c2),
+                                        Box3._from_floats(-hw0, -hw1, -hw2, hw0, hw1, hw2))
+                assert (got_jet[:, tile.i, tile.j].view(np.int64).tolist()
+                        == np.array(want_jet).view(np.int64).tolist()), tile.tile_id
+                assert (got_hull[:, tile.i, tile.j].view(np.int64).tolist()
+                        == np.array(box.bounds).view(np.int64).tolist()), tile.tile_id
+
+    def test_each_radius_and_inflation_gets_its_own_geometry(self, scenarios_dir):
+        sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
+        pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
+        frustum = frustum_from_camera(sc.cameras[10])
+        level = sc.terrain.start_level
+        grid = pyramid.start_grid(level)
+        verdicts = {method: set() for method in Method}
+        for inflation, radius in ((1.1, R), (1.9, R), (1.1, 0.99 * R), (1.1, R)):
+            cfg = dataclasses.replace(sc.terrain, cull=CullConfig(inflation))
+            params = GeodeticParams(radius)
+            for method in Method:
+                got = []
+                traverse(frustum, cfg, pyramid, params, method,
+                         sink=lambda t, c: t.level == level and got.append(c))
+                assert got == [classify_tile(t, frustum, params, method, cfg.cull)
+                               for t in grid], (inflation, radius, method)
+                verdicts[method].add(tuple(got))
+        # three distinct settings, each with verdicts of its own, and the
+        # fourth traversal reused the first one's geometry
+        assert all(len(v) > 1 for v in verdicts.values())
+        assert len(pyramid._start_geometry) == 3 * len(Method)

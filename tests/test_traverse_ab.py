@@ -23,5 +23,10 @@ def test_one_checkout_against_itself(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("orbit-compare seed 1: 2 frames x 1 rounds, stats and visible "
                       "ids equal on every traversal")
-    assert [line.split()[0] for line in out[2:]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
-    assert all(line.endswith(" of 1") for line in out[2:])
+    assert [line.split()[0] for line in out[2:4]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
+    assert all(line.endswith(" of 1") for line in out[2:4])
+    # each side's first traversal per pyramid and method, lazy set-up included;
+    # the workload's one pass builds one pyramid
+    assert out[4] == "first traversal per pyramid, lazy set-up included (ms, median of 1):"
+    assert [line.split()[0] for line in out[5:]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
+    assert all(len(line.split()) == 4 for line in out[5:])
