@@ -22,9 +22,13 @@ in even rounds and the change first in odd ones.  Every traversal's stats
 (visited, outside, inside, intersect, leaves, depth) and visible tile ids
 must be equal on the two sides, or the script stops with an error.  It
 prints, per method, each side's median over rounds of ms per frame, their
-ratio and the number of rounds the change was faster.  Running both sides in
-one process puts both under the same host load at the same moments, which
-separate benchmark runs on a busy host cannot.
+ratio and the number of rounds the change was faster.  Last, per method and
+side, it prints the tail by the benchmark's rule (``perfbench.metrics.tail``,
+the 11th-largest sample) over every timed traversal, each pyramid's first
+included, so that the comparison speaks to the benchmark's gated
+``frame_ms_tail``; it needs at least 11 timed traversals per method.
+Running both sides in one process puts both under the same host load at the
+same moments, which separate benchmark runs on a busy host cannot.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ class Side:
 
 
 def main(argv=None) -> int:
+    from perfbench.metrics import tail
     from perfbench.workloads import WORKLOADS
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -117,6 +122,7 @@ def main(argv=None) -> int:
     frames = range(len(sides["parent"].frames))
     pyramids = [pyramid for pyramid, *_ in sides["parent"].frames]
     first = {method: {side: [] for side in SIDES} for method in methods}
+    timed = {method: {side: [] for side in SIDES} for method in methods}   # ms
     for frame in frames:          # warm-up, which also checks the outputs
         order = SIDES if frame % 2 == 0 else SIDES[::-1]
         for method in methods:
@@ -125,6 +131,7 @@ def main(argv=None) -> int:
             if frame == 0 or pyramids[frame] is not pyramids[frame - 1]:
                 for side in SIDES:
                     first[method][side].append(1e3 * results[side][0])
+                    timed[method][side].append(1e3 * results[side][0])
 
     per_round = {method: {side: [] for side in SIDES} for method in methods}
     for k in range(args.rounds):
@@ -136,6 +143,7 @@ def main(argv=None) -> int:
                 check(frame, method, *(results[side][1:] for side in SIDES))
                 for side in SIDES:
                     total[method][side] += results[side][0]
+                    timed[method][side].append(1e3 * results[side][0])
         for method in methods:
             for side in SIDES:
                 per_round[method][side].append(1e3 * total[method][side] / len(frames))
@@ -154,6 +162,16 @@ def main(argv=None) -> int:
     print(f"first traversal per pyramid, lazy set-up included (ms, median of {count}):")
     for method in methods:
         p, c = (statistics.median(first[method][side]) for side in SIDES)
+        print(f"{method:<26}{p:>16.3f}{c:>16.3f}{c / p:>8.3f}")
+    count = len(timed[methods[0]]["parent"])
+    if count < 11:
+        print(f"tail by perfbench's rule: needs 11 timed traversals per method, "
+              f"got {count}")
+        return 0
+    print(f"tail by perfbench's rule over all {count} timed traversals per method, "
+          f"first ones included (ms, p{tail(range(count))[1]:.1f}):")
+    for method in methods:
+        p, c = (tail(timed[method][side])[0] for side in SIDES)
         print(f"{method:<26}{p:>16.3f}{c:>16.3f}{c / p:>8.3f}")
     return 0
 

@@ -104,6 +104,8 @@ _ACTIVE_PLANES = tuple(tuple(k for k in range(6) if mask >> k & 1)
 
 # Relative margin of the interval pre-test in _classify_bin_scalars.
 _PRETEST_REL = 1e-9
+# Relative margin of the reach screen in _screened_bins.
+_SCREEN_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -385,6 +387,79 @@ def _classify_centred_bins(value, jac, h_x, h_y, h_z, w0, w1, w2, w01, w02, w12,
     intersect = Classification.INTERSECT
     return [outside_0 if out else (intersect, mask) if mask else inside_0
             for out, mask in zip(separated, straddled)]
+
+
+def _reach(jac, h_x, h_y, h_z, w0, w1, w2, w01, w02, w12, sq0, sq1, sq2):
+    """Each centred box's reach: with J_i the Jacobian column i and H_ij the
+    vector (h_x[i][j], h_y[i][j], h_z[i][j]),
+
+        R = sum ||J_i|| w_i + sum_{i<j} ||H_ij|| w_i w_j + sum ||H_ii|| w_i^2 / 2,
+
+    for the arguments of ``_classify_centred_bins`` (numpy arrays or floats
+    that broadcast together).  It does not depend on the frustum: for a plane
+    normal n, |b_i| <= ||J_i|| ||n|| and |h_ij| <= ||H_ij|| ||n|| by
+    Cauchy-Schwarz, so the interval bound's T_lin + sum |q_i| is at most
+    ||n|| R.  An overflow makes R infinite or NaN.
+    """
+    def norm(x, y, z):
+        return np.sqrt(x * x + y * y + z * z)
+    with np.errstate(all="ignore"):
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
+        (x00, x01, x02), (_, x11, x12), (_, _, x22) = h_x
+        (y00, y01, y02), (_, y11, y12), (_, _, y22) = h_y
+        (z00, z01, z02), (_, z11, z12), (_, _, z22) = h_z
+        return (norm(j00, j10, j20) * w0 + norm(j01, j11, j21) * w1
+                + norm(j02, j12, j22) * w2
+                + norm(x01, y01, z01) * w01 + norm(x02, y02, z02) * w02
+                + norm(x12, y12, z12) * w12
+                + norm(x00, y00, z00) * sq0 + norm(x11, y11, z11) * sq1
+                + norm(x22, y22, z22) * sq2)
+
+
+def _screened_bins(v0, v1, v2, reach, frustum: Frustum) -> np.ndarray:
+    """Which centred bins some plane of ``frustum`` separates by the reach
+    screen: a boolean array of the shape of the value rows ``v0``, ``v1``,
+    ``v2`` (1-D) and of ``reach`` (``_reach``).  A screened bin gets
+    (OUTSIDE, 0) from ``_classify_bin_scalars`` with any plane mask that
+    holds the screening plane.
+
+    Each plane's d is ``_plane_terms``' expression, so it has the scalar
+    path's bits, and the plane screens a bin when d is finite and
+
+        d > (1 + 1e-6) ||n|| R.
+
+    Why that implies the scalar path's ``UB + eps < d`` after rounding: write
+    gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3) and let R* and ||n||*
+    be the exact values the computed R and ||n|| approximate.  Each of
+    ||n||, R (norms, products with w and their sum) and their product with
+    1 + 1e-6 takes at most 20 rounded operations on non-negative terms, so
+    the computed threshold is at least (1 + 1e-6)(1 - gamma_20) ||n||* R*.
+    On the scalar side, b_i, a_i = b_i w_i, c_ij and q_i are each within
+    gamma_4 of a sum of products bounded term by term by ||J_i|| ||n|| w_i
+    (Cauchy-Schwarz on the absolute values), and so on; summing them into
+    T_lin + sum |q_i| adds at most gamma_9, so the computed UB, T and eps
+    satisfy UB <= T <= (1 + gamma_13) ||n||* R* and
+    eps <= 1e-9 (1 + gamma_3) (T + |d|); the final addition adds u.  With
+    d above the threshold, ||n||* R* < d / ((1 + 1e-6)(1 - gamma_20)), so
+
+        fl(UB + eps) <= d (1 + u) ((1 + gamma_13)(1 + 1.1e-9)
+                                   / ((1 + 1e-6)(1 - gamma_20)) + 1.1e-9)
+                     <  d (1 - 9e-7) < d,
+
+    as d > 0 here.
+
+    The margin 1e-6 sits three orders of magnitude above eps's 1e-9 and
+    seven above the rounding terms (gamma_20 < 3e-15).  Like the bound, this
+    assumes that no intermediate value overflows or underflows.  A NaN or
+    infinite R, or a NaN d, fails the comparison, and an infinite d is
+    excluded explicitly, so none of them screens; the scalar path decides.
+    """
+    n0, n1, n2, p0, p1, p2 = np.array(frustum.plane_scalars).T.reshape(6, 6, 1)
+    with np.errstate(all="ignore"):
+        d = n0 * (v0 - p0) + n1 * (v1 - p1) + n2 * (v2 - p2)   # _plane_terms' d
+        threshold = (1.0 + _SCREEN_REL) * np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) * reach
+        return ((threshold < d) & (d < np.inf)).any(axis=0)
 
 
 def classify_bin(jet: MapJet, bin_offsets: Box3, frustum: Frustum,

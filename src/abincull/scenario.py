@@ -9,6 +9,7 @@ settings.  Validation errors carry the JSON path of the offending field.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from contextlib import contextmanager
@@ -39,6 +40,9 @@ __all__ = [
     "load_scenario",
     "orbit_cameras",
     "MAX_ORBIT_FRAMES",
+    "MAX_FRAMES",
+    "MAX_SAMPLES",
+    "MAX_LATTICE_POINTS",
 ]
 
 # CLI-facing method names and their (traversal method, extrema mode) meaning.
@@ -49,9 +53,16 @@ METHOD_NAMES = {
 }
 
 
-# Most frames one orbit entry may ask for: each is one pose held in memory and
-# one traversal per method.
+# The size budget of a scenario, so that every scenario that parses runs in
+# bounded time and memory.  Each frame is one pose held in memory and one
+# traversal per method: MAX_ORBIT_FRAMES bounds one orbit entry and
+# MAX_FRAMES all camera entries together.  A synthetic heightfield holds
+# rows x cols float64 samples (MAX_SAMPLES is 32 MiB of them), and each
+# oracle call maps n_lat x n_lon x n_height lattice points.
 MAX_ORBIT_FRAMES = 10_000
+MAX_FRAMES = 10_000
+MAX_SAMPLES = 2048 * 2048
+MAX_LATTICE_POINTS = 2 ** 20
 
 
 class ScenarioError(ValueError):
@@ -232,9 +243,21 @@ _SYNTHETIC = {  # synth_heightfield
 }
 
 
+_SYNTHETIC_DEFAULTS = inspect.signature(synth_heightfield).parameters
+
+
+def _within(count, budget, what, path):
+    if count > budget:
+        raise ScenarioError(f"{path}: {what} is {count}, more than the {budget} allowed")
+
+
 def _parse_heightfield(obj, path) -> dict:
     if not (isinstance(obj, dict) and "path" in obj):
-        return _fields(obj, path, _SYNTHETIC)
+        spec = _fields(obj, path, _SYNTHETIC)
+        rows, cols = (spec.get(key, _SYNTHETIC_DEFAULTS[key].default)
+                      for key in ("rows", "cols"))
+        _within(rows * cols, MAX_SAMPLES, "rows x cols", path)
+        return spec
     _as_object(obj, path, ("path", *_SYNTHETIC))
     for key in obj:
         if key != "path":
@@ -242,6 +265,21 @@ def _parse_heightfield(obj, path) -> dict:
     if not isinstance(obj["path"], str) or not obj["path"]:
         raise ScenarioError(f"{path}.path: expected a non-empty string, got {obj['path']!r}")
     return {"path": obj["path"]}
+
+
+def _frame_count(cam_list) -> int:
+    """The poses ``cam_list`` asks for, read from the JSON before any is
+    built: each orbit entry's ``frames`` (checked against MAX_ORBIT_FRAMES)
+    and one per other entry.  A malformed entry counts once and is rejected
+    when it is parsed."""
+    count = 0
+    for k, obj in enumerate(cam_list):
+        orbit = obj.get("orbit") if isinstance(obj, dict) else None
+        if isinstance(orbit, dict) and "frames" in orbit:
+            count += max(1, _FRAMES(orbit["frames"], f"$.cameras[{k}].orbit.frames"))
+        else:
+            count += 1
+    return count
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -273,6 +311,7 @@ def parse_scenario(text: str) -> Scenario:
     cam_list = _required(doc, "cameras", "$")
     if not isinstance(cam_list, list) or not cam_list:
         raise ScenarioError("$.cameras: expected a non-empty list")
+    _within(_frame_count(cam_list), MAX_FRAMES, "the number of frames", "$.cameras")
     cameras: list[CameraPose] = []
     for k, obj in enumerate(cam_list):
         path = f"$.cameras[{k}]"
@@ -295,6 +334,8 @@ def parse_scenario(text: str) -> Scenario:
                                 f"expected one of {sorted(METHOD_NAMES)}")
 
     oracle = _fields(doc.get("oracle", {}), "$.oracle", _ORACLE)
+    _within(math.prod(oracle["lattice"]), MAX_LATTICE_POINTS, "n_lat x n_lon x n_height",
+            "$.oracle.lattice")
     return Scenario(name=name, seed=seed, geodetic=geodetic, terrain=terrain,
                     heightfield_spec=hf_spec, cameras=tuple(cameras),
                     methods=tuple(methods), oracle_enabled=oracle["enabled"],

@@ -8,7 +8,9 @@ frustum either with the quadratic bin test or with the 8-corner world-box
 baseline; traversal recurses only into tiles that straddle the frustum
 boundary.  The start-level grid is classified in one numpy pass per frame,
 over frustum-independent geometry cached on the pyramid, with the scalar
-path's bits; tiles below it are classified one by one.
+path's bits; the analytic pass first drops the tiles a per-tile reach
+screen proves OUTSIDE, and the walk visits only the start tiles that are
+not OUTSIDE.  Tiles below the start level are classified one by one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .cull import (
     CullConfig,
     _classify_bin_scalars,
     _classify_centred_bins,
+    _reach,
+    _screened_bins,
 )
 from .frustum import Frustum
 from .mapping import (
@@ -284,7 +288,9 @@ class MinMaxPyramid:
         self.lon_range = lon_range
         self.max_level = len(levels) - 1
         self._start_grids: dict[int, tuple[GeoTile, ...]] = {}
+        self._start_tiles: dict[int, list[GeoTile | None]] = {}
         self._start_geometry: dict[tuple, tuple] = {}
+        self._start_screens: dict[tuple, tuple] = {}
 
     def _check_block(self, level: int, i: int, j: int, rows: int,
                      cols: int) -> tuple[int, int]:
@@ -331,12 +337,35 @@ class MinMaxPyramid:
     def start_grid(self, level: int) -> tuple[GeoTile, ...]:
         """Level ``level``'s whole grid, ``block(level, 0, 0, n_lat, n_lon)``,
         built on the first call for that level and then shared by every
-        traversal that starts there."""
+        traversal that starts there.  The tuple holds the tiles
+        ``start_tiles`` already handed out, so each start tile is one object."""
         grid = self._start_grids.get(level)
         if grid is None:
-            grid = tuple(self.block(level, 0, 0, *_grid_shape(level)))
-            self._start_grids[level] = grid
+            tiles = self.block(level, 0, 0, *_grid_shape(level))
+            store = self._start_tiles.get(level)
+            if store is not None:
+                tiles = [old or new for old, new in zip(store, tiles)]
+            grid = self._start_grids[level] = tuple(tiles)
+            self._start_tiles[level] = list(grid)
         return grid
+
+    def start_tiles(self, level: int, indices) -> list[GeoTile]:
+        """The tiles of ``start_grid(level)`` at the row-major ``indices``,
+        each built on first use (as ``tile``) and kept in one store per
+        level, so that a traversal that walks a few start tiles builds only
+        those."""
+        store = self._start_tiles.get(level)
+        if store is None:
+            self._check_block(level, 0, 0, 1, 1)
+            store = self._start_tiles[level] = [None] * math.prod(_grid_shape(level))
+        n_lon = _grid_shape(level)[1]
+        tiles = []
+        for k in indices:
+            tile = store[k]
+            if tile is None:
+                tile = store[k] = self.tile(level, *divmod(k, n_lon))
+            tiles.append(tile)
+        return tiles
 
     def start_geometry(self, level: int, method: Method, radius_m: float,
                        inflation: float) -> tuple:
@@ -355,6 +384,41 @@ class MinMaxPyramid:
             geometry = _start_geometry(self, level, method, radius_m, inflation)
             self._start_geometry[key] = geometry
         return geometry
+
+    def start_screen(self, level: int, radius_m: float,
+                     inflation: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, reach)`` for the analytic start pass: ``rows`` stacks
+        the 48 arrays and floats of ``start_geometry(level, ANALYTIC_BIN,
+        radius_m, inflation)``, in order and each broadcast over the grid and
+        flattened row by row (``_jet_arguments`` unstacks them), and ``reach``
+        is each tile's ``cull._reach``.  Built on the first call for (level,
+        radius_m, inflation), then shared."""
+        key = level, radius_m, inflation
+        screen = self._start_screens.get(key)
+        if screen is None:
+            geometry = self.start_geometry(level, Method.ANALYTIC_BIN, radius_m, inflation)
+            value, jac, h_x, h_y, h_z, *widths = geometry
+            shape = _grid_shape(level)
+            rows = np.empty((48,) + shape)
+            for row, x in zip(rows, [*value, *(x for matrix in (jac, h_x, h_y, h_z)
+                                               for entries in matrix for x in entries),
+                                     *widths]):
+                row[...] = x
+            reach = np.broadcast_to(_reach(*geometry[1:]), shape)
+            screen = rows.reshape(48, -1), reach.ravel()
+            self._start_screens[key] = screen
+        return screen
+
+
+def _jet_arguments(rows) -> tuple:
+    """The structure of the analytic ``start_geometry`` (value row, Jacobian
+    and three Hessians as nested row tuples, then the nine widths) over the
+    48 stacked ``rows`` of ``MinMaxPyramid.start_screen``."""
+    leaves = list(rows)
+    value = tuple(leaves[0:3])
+    jac, h_x, h_y, h_z = (tuple(tuple(leaves[at + 3 * r:at + 3 * r + 3]) for r in range(3))
+                          for at in (3, 12, 21, 30))
+    return (value, jac, h_x, h_y, h_z, *leaves[39:])
 
 
 def _math_sin_cos(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -686,16 +750,49 @@ def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
     return result[0] if planes is None else result
 
 
+def _live_start_tiles(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
+                      params: GeodeticParams, method: Method) -> tuple[list[int], list]:
+    """``(indices, verdicts)``: the row-major indices, ascending, of the
+    tiles of ``pyramid.start_grid(cfg.start_level)`` that are not OUTSIDE,
+    and ``classify_tile(tile, ..., planes=ALL_PLANES)`` for each of them;
+    every other start tile is OUTSIDE (with mask 0 for ANALYTIC_BIN and
+    ALL_PLANES for AABB8, which always reports all six planes).
+
+    ANALYTIC_BIN first screens the grid by each tile's cached reach
+    (``cull._screened_bins`` over ``pyramid.start_screen``): a screened tile
+    is OUTSIDE with mask 0, as ``classify_tile`` would find.  Only the
+    others go through the exact array pass, ``cull._classify_centred_bins``,
+    over their columns of the stacked geometry.  AABB8 runs its p/n-vertex
+    pass over the whole grid.
+    """
+    cull = cfg.cull
+    if method is Method.ANALYTIC_BIN:
+        rows, reach = pyramid.start_screen(cfg.start_level, params.radius_m, cull.inflation)
+        kept = np.flatnonzero(~_screened_bins(rows[0], rows[1], rows[2], reach, frustum))
+        if not kept.size:
+            return [], []
+        candidates = zip(kept.tolist(), _classify_centred_bins(
+            *_jet_arguments(rows[:, kept]), frustum, cull.extrema_mode))
+    else:
+        geometry = pyramid.start_geometry(cfg.start_level, method, params.radius_m,
+                                          cull.inflation)
+        candidates = enumerate(zip(_classify_aabb8_arrays(*geometry, frustum),
+                                   repeat(ALL_PLANES)))
+    outside = Classification.OUTSIDE
+    live = [(k, verdict) for k, verdict in candidates if verdict[0] is not outside]
+    return [k for k, _ in live], [verdict for _, verdict in live]
+
+
 def _classify_start_grid(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
                          params: GeodeticParams, method: Method):
     """``classify_tile(tile, ..., planes=ALL_PLANES)`` for every tile of
-    ``pyramid.start_grid(cfg.start_level)``, in its order, by one array pass."""
-    cull = cfg.cull
-    geometry = pyramid.start_geometry(cfg.start_level, method, params.radius_m,
-                                      cull.inflation)
-    if method is Method.ANALYTIC_BIN:
-        return _classify_centred_bins(*geometry, frustum, cull.extrema_mode)
-    return list(zip(_classify_aabb8_arrays(*geometry, frustum), repeat(ALL_PLANES)))
+    ``pyramid.start_grid(cfg.start_level)``, in its order, by one array pass
+    (``_live_start_tiles``)."""
+    mask = 0 if method is Method.ANALYTIC_BIN else ALL_PLANES
+    verdicts = [(Classification.OUTSIDE, mask)] * math.prod(_grid_shape(cfg.start_level))
+    for k, verdict in zip(*_live_start_tiles(frustum, cfg, pyramid, params, method)):
+        verdicts[k] = verdict
+    return verdicts
 
 
 def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
@@ -703,20 +800,23 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
              sink=None) -> tuple[list[GeoTile], TraversalStats]:
     """Depth-first visibility traversal from the start-level grid.
 
-    The grid is ``pyramid.start_grid(cfg.start_level)``, built once per
-    pyramid and level; ``method`` must be a ``Method``.  OUTSIDE tiles are
-    pruned; INSIDE tiles are emitted without visiting their subtree;
-    straddling tiles recurse until max_level, where they are emitted as
-    visible leaves.  ``sink(tile, classification)``, when given,
-    observes every classified tile.
+    The grid is ``pyramid.start_grid(cfg.start_level)``; ``method`` must be
+    a ``Method``.  OUTSIDE tiles are pruned; INSIDE tiles are emitted
+    without visiting their subtree; straddling tiles recurse until
+    max_level, where they are emitted as visible leaves.
+    ``sink(tile, classification)``, when given, observes every classified
+    tile, the whole start grid among them in row order.
 
     The start grid is classified against all six planes in one numpy pass
-    per traversal (``_classify_start_grid``) over ``pyramid.start_geometry``,
-    which is built on the first traversal for its level, method, radius and
-    inflation.  Each start tile gets the
-    verdict and straddle mask ``classify_tile`` would give it.  Then the
-    depth-first walk runs from each start tile in row order; tiles below the
-    start level are classified one by one by ``classify_tile``.
+    per traversal (``_live_start_tiles``) over geometry cached on the
+    pyramid, built on the first traversal for its level, method, radius and
+    inflation; the analytic pass first drops the tiles the reach screen
+    proves OUTSIDE.  Each start tile gets the verdict and straddle mask
+    ``classify_tile`` would give it.  Then the depth-first walk runs from
+    each start tile in row order; without a sink it skips the OUTSIDE ones,
+    counts them and builds no tile for them (``pyramid.start_tiles``).
+    Tiles below the start level are classified one by one by
+    ``classify_tile``.
 
     Each stacked tile carries a plane mask (Assarsson & Moeller's plane
     masking): the children of an INTERSECT tile test only the planes it
@@ -733,12 +833,18 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     max_level = cfg.max_level
     cull = cfg.cull
     visible: list[GeoTile] = []
-    outside = inside = intersect = leaves = depth = 0
+    outside = inside = intersect = leaves = 0
+    depth = cfg.start_level    # every start tile is visited, walked or not
     outside_cls, inside_cls = Classification.OUTSIDE, Classification.INSIDE
-    start_grid = pyramid.start_grid(cfg.start_level)
+    if sink is None:
+        indices, verdicts = _live_start_tiles(frustum, cfg, pyramid, params, method)
+        start_tiles = pyramid.start_tiles(cfg.start_level, indices)
+        outside = math.prod(_grid_shape(cfg.start_level)) - len(indices)
+    else:
+        start_tiles = pyramid.start_grid(cfg.start_level)
+        verdicts = _classify_start_grid(frustum, cfg, pyramid, params, method)
     stack = []
-    for tile, (cls, straddled) in zip(start_grid, _classify_start_grid(
-            frustum, cfg, pyramid, params, method)):
+    for tile, (cls, straddled) in zip(start_tiles, verdicts):
         # this start tile, then its subtree off the stack
         while True:
             level = tile.level

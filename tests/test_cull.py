@@ -33,7 +33,13 @@ from abincull import (
     synth_heightfield,
 )
 from abincull.cli import _orbit_pose, random_pose, random_quadratic
-from abincull.cull import _EXTREMA, ALL_PLANES, _classify_bin_scalars
+from abincull.cull import (
+    _EXTREMA,
+    ALL_PLANES,
+    _classify_bin_scalars,
+    _reach,
+    _screened_bins,
+)
 from abincull.mapping import _sphere_jet_rows
 from abincull.terrain import _grid_shape
 
@@ -501,3 +507,61 @@ class TestIntervalPretest:
         shifted = classify_bin(jet, Box3([-0.5, -0.5, -0.25], [0.5, 0.5, 0.75]),
                                canonical_frustum)
         assert (shifted, kernel_calls[ExtremaMode.EXACT]) == (Classification.INSIDE, 6)
+
+
+def _screen_one(b, h, d, half):
+    """(screened, reach, threshold) for the one-plane stand-in of
+    ``_one_plane_frustum`` over the centred box with half-widths half."""
+    (value, *jet), frustum = _one_plane_frustum(b, h, d)
+    w0, w1, w2 = half
+    reach = _reach(*jet, w0, w1, w2, w0 * w1, w0 * w2, w1 * w2,
+                   0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2)
+    screened = _screened_bins(*([v] for v in value), np.array([reach]), frustum)
+    # the stand-in's normal is e_x, so ||n|| = 1 and d is exactly ``d``
+    return bool(screened[0]), float(reach), (1.0 + 1e-6) * float(reach)
+
+
+class TestReachScreen:
+    """``cull._screened_bins``: a screened box is OUTSIDE for the scalar path."""
+
+    @pytest.mark.parametrize("mode", list(ExtremaMode))
+    def test_threshold_at_the_tight_case(self, mode, rng, kernel_calls):
+        # with every Jacobian column and Hessian vector along the normal and
+        # h_ii >= 0, the interval bound UB equals ||n|| R: the screen's margin
+        # is all that separates them.  One ulp above the threshold screens,
+        # and the bound alone then finds the plane separating; the threshold
+        # itself does not screen
+        for _ in range(200):
+            b = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 7, size=3)
+            h = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 7)
+            h = h + h.T
+            np.fill_diagonal(h, np.abs(np.diag(h)))
+            half = rng.uniform(1e-4, 2.0, size=3).tolist()
+            b, h = b.tolist(), h.tolist()
+            _, reach, threshold = _screen_one(b, h, 0.0, half)
+            assert reach > 0.0
+            above = math.nextafter(threshold, math.inf)
+            screened, _, _ = _screen_one(b, h, above, half)
+            rows, frustum = _one_plane_frustum(b, h, above)
+            before = kernel_calls[mode]
+            got = _classify_bin_scalars(*rows, *(-w for w in half), *half, frustum, mode,
+                                        ALL_PLANES)
+            assert screened and got == (Classification.OUTSIDE, 0)
+            assert kernel_calls[mode] == before
+            assert not _screen_one(b, h, threshold, half)[0]
+            assert not _screen_one(b, h, math.nextafter(threshold, 0.0), half)[0]
+
+    def test_non_finite_d_or_reach_never_screens(self):
+        b, h, half = [1.0, -2.0, 3.0], [[0.5, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 1.0]], \
+            [0.1, 0.2, 0.3]
+        assert _screen_one(b, h, 1e6, half)[0]
+        for d in (math.inf, -math.inf, math.nan):
+            assert not _screen_one(b, h, d, half)[0], d
+        # a NaN entry makes R NaN; a square that overflows, or an infinite
+        # width, makes it infinite
+        h_nan = [[math.nan, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 1.0]]
+        for b_, h_, half_ in (([math.nan, 0.0, 0.0], h, half), (b, h_nan, half),
+                              ([1e200, 0.0, 0.0], h, half),
+                              (b, h, [math.inf, 0.2, 0.3])):
+            screened, reach, _ = _screen_one(b_, h_, 1e300, half_)
+            assert not math.isfinite(reach) and not screened, (b_, h_, half_)

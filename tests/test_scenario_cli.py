@@ -20,7 +20,14 @@ from abincull import (
 )
 from abincull import cli, scenario, terrain
 from abincull.cli import main, run_compare, run_scenario
-from abincull.scenario import MAX_ORBIT_FRAMES, METHOD_NAMES, load_scenario
+from abincull.scenario import (
+    MAX_FRAMES,
+    MAX_LATTICE_POINTS,
+    MAX_ORBIT_FRAMES,
+    MAX_SAMPLES,
+    METHOD_NAMES,
+    load_scenario,
+)
 from conftest import repo_root
 
 MINIMAL = {
@@ -85,6 +92,44 @@ class TestParseScenario:
         doc = dict(MINIMAL, cameras=[{"orbit": {"frames": frames, "altitude_m": 5e5}}])
         with pytest.raises(ScenarioError, match=r"^\$\.cameras\[0\]\.orbit\.frames: "
                                                 rf"expected at most {MAX_ORBIT_FRAMES}, "):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("cameras", [
+        [{"orbit": {"frames": MAX_FRAMES // 2 + 1, "altitude_m": 5e5}}] * 2,
+        [{"orbit": {"frames": MAX_ORBIT_FRAMES, "altitude_m": 5e5}}] * 4,
+        [{"orbit": {"frames": MAX_FRAMES, "altitude_m": 5e5}}, MINIMAL["cameras"][0]],
+    ], ids=["two_halves", "four_full_orbits", "orbit_and_pose"])
+    def test_frames_over_all_entries_above_the_budget_rejected_before_any_pose(
+            self, monkeypatch, cameras):
+        def no_poses(*args, **kwargs):
+            raise AssertionError("pose built")
+        monkeypatch.setattr(scenario, "orbit_cameras", no_poses)
+        monkeypatch.setattr(scenario, "CameraPose", no_poses)
+        with pytest.raises(ScenarioError, match=r"^\$\.cameras: the number of frames is "
+                                                rf"\d+, more than the {MAX_FRAMES} allowed"):
+            parse_scenario(json.dumps(dict(MINIMAL, cameras=cameras)))
+
+    @pytest.mark.parametrize("heightfield", [
+        {"kind": "FLAT", "rows": 2049, "cols": 2048},
+        {"kind": "SINUSOIDAL", "rows": 1e6},          # cols defaults to 513
+        {"kind": "FLAT", "cols": MAX_SAMPLES},        # rows defaults to 257
+    ], ids=["one_row_over", "rows_with_default_cols", "cols_with_default_rows"])
+    def test_synthetic_samples_above_the_budget_rejected(self, monkeypatch, heightfield):
+        def no_field(*args, **kwargs):
+            raise AssertionError("heightfield built")
+        monkeypatch.setattr(scenario, "synth_heightfield", no_field)
+        doc = dict(MINIMAL, terrain={"heightfield": heightfield})
+        with pytest.raises(ScenarioError, match=r"^\$\.terrain\.heightfield: rows x cols is "
+                                                rf"\d+, more than the {MAX_SAMPLES} allowed"):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("lattice", [[1024, 1024, 2], [2, 2, MAX_LATTICE_POINTS]],
+                             ids=["square", "one_long_axis"])
+    def test_oracle_lattice_points_above_the_budget_rejected(self, lattice):
+        doc = dict(MINIMAL, oracle={"enabled": True, "lattice": lattice})
+        with pytest.raises(ScenarioError, match=r"^\$\.oracle\.lattice: n_lat x n_lon x "
+                                                rf"n_height is \d+, more than the "
+                                                rf"{MAX_LATTICE_POINTS} allowed"):
             parse_scenario(json.dumps(doc))
 
     def test_orbit_unknown_field(self):

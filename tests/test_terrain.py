@@ -985,6 +985,50 @@ def flat_leaves(rows):
     return [rows]
 
 
+class TestWalkWithoutSink:
+    """Without a sink the traversal walks only the start tiles that are not
+    OUTSIDE and builds only their tiles; nothing else may change."""
+
+    @pytest.mark.parametrize("name", sorted(METHOD_NAMES))
+    def test_stats_and_visible_tiles_equal_with_and_without_a_sink(self, scenarios_dir,
+                                                                   name):
+        method, mode = METHOD_NAMES[name]
+        whole_grid_outside = 0
+        for scenario in ("orbit_sinusoidal", "peak_orbit", "smoke"):
+            sc = load_scenario(scenarios_dir / f"{scenario}.json")
+            cfg, level = sc.terrain, sc.terrain.start_level
+            if mode is not None:
+                cfg = dataclasses.replace(
+                    cfg, cull=dataclasses.replace(cfg.cull, extrema_mode=mode))
+            pyramid = build_minmax_pyramid(sc.build_heightfield(), cfg)
+            # every bundled frame, and one looking up and away from the
+            # globe, which puts the whole start grid OUTSIDE
+            away = CameraPose([0.0, 0.0, sc.geodetic.radius_m + 5e5], [0.0, 0.0, 1.0],
+                              [0.0, 1.0, 0.0], 1.0, 1.2, 5e3, 1.5e6)
+            frusta = [frustum_from_camera(pose) for pose in (*sc.cameras, away)]
+            # a first traversal without a sink builds only the start tiles it
+            # walks, and the whole grid keeps them
+            traverse(frusta[0], cfg, pyramid, sc.geodetic, method)
+            built = {k: t for k, t in enumerate(pyramid._start_tiles[level]) if t}
+            grid = pyramid.start_grid(level)
+            assert 0 < len(built) < len(grid)
+            assert all(grid[k] is tile for k, tile in built.items())
+            n_lon = _grid_shape(level)[1]
+            for frame, frustum in enumerate(frusta):
+                bare_visible, bare = traverse(frustum, cfg, pyramid, sc.geodetic, method)
+                sunk_visible, sunk = traverse(frustum, cfg, pyramid, sc.geodetic, method,
+                                              sink=lambda t, c: None)
+                bare.elapsed_ns = sunk.elapsed_ns = 0
+                assert bare == sunk, (scenario, frame)
+                assert [t.tile_id for t in bare_visible] == [t.tile_id for t in sunk_visible]
+                assert all(t is grid[t.i * n_lon + t.j] for t in bare_visible
+                           if t.level == level)
+                if bare.outside == bare.visited == len(grid):
+                    assert bare.max_depth_reached == level
+                    whole_grid_outside += 1
+        assert whole_grid_outside >= 3
+
+
 class TestStartLevelArrayPass:
     """The start grid's one array pass against classify_tile, tile by tile."""
 
@@ -1049,6 +1093,28 @@ class TestStartLevelArrayPass:
         # the analytic pass handed some planes the bound and bracket left open
         # to the kernel
         assert bool(kernel_calls) == (method is Method.ANALYTIC_BIN)
+
+    def test_reach_screen_is_sound(self, terrains):
+        # every start tile the screen drops is OUTSIDE with mask 0 for the
+        # scalar path, in either extrema mode
+        screened = tiles = 0
+        for cfg, params, pyramid, frusta in terrains:
+            rows, reach = pyramid.start_screen(cfg.start_level, params.radius_m,
+                                               cfg.cull.inflation)
+            grid = pyramid.start_grid(cfg.start_level)
+            for frustum in frusta:
+                dropped = cull._screened_bins(rows[0], rows[1], rows[2], reach, frustum)
+                tiles += len(grid)
+                for tile, drop in zip(grid, dropped.tolist(), strict=True):
+                    if not drop:
+                        continue
+                    screened += 1
+                    for mode in ExtremaMode:
+                        got = classify_tile(tile, frustum, params, Method.ANALYTIC_BIN,
+                                            dataclasses.replace(cfg.cull, extrema_mode=mode),
+                                            planes=ALL_PLANES)
+                        assert got == (Classification.OUTSIDE, 0), (tile.tile_id, mode)
+        assert 0.3 * tiles < screened < tiles
 
     def test_geometry_matches_scalar_builders(self, terrains):
         # compared as int64 bits, so that a signed zero or a NaN counts

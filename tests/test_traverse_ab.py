@@ -4,7 +4,9 @@ import sys
 from conftest import repo_root
 
 
-def test_one_checkout_against_itself(monkeypatch, capsys):
+def run_against_itself(monkeypatch, capsys, rounds):
+    """The script's output lines for this checkout against itself on
+    orbit-compare, whose one pass has 2 frames."""
     # both sides load this checkout's src/abincull under their own package
     # names; the script checks every traversal's stats and visible ids
     root = repo_root()
@@ -15,12 +17,16 @@ def test_one_checkout_against_itself(monkeypatch, capsys):
     script = runpy.run_path(str(root / "scripts" / "traverse_ab.py"))
     try:
         assert script["main"]([str(root), str(root), "--workload", "orbit-compare",
-                               "--rounds", "1"]) == 0
+                               "--rounds", str(rounds)]) == 0
     finally:
         for name in list(sys.modules):
             if name.startswith(("abincull_parent", "abincull_change")):
                 del sys.modules[name]
-    out = capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_one_checkout_against_itself(monkeypatch, capsys):
+    out = run_against_itself(monkeypatch, capsys, rounds=1)
     assert out[0] == ("orbit-compare seed 1: 2 frames x 1 rounds, stats and visible "
                       "ids equal on every traversal")
     assert [line.split()[0] for line in out[2:4]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
@@ -28,5 +34,20 @@ def test_one_checkout_against_itself(monkeypatch, capsys):
     # each side's first traversal per pyramid and method, lazy set-up included;
     # the workload's one pass builds one pyramid
     assert out[4] == "first traversal per pyramid, lazy set-up included (ms, median of 1):"
-    assert [line.split()[0] for line in out[5:]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
-    assert all(len(line.split()) == 4 for line in out[5:])
+    assert [line.split()[0] for line in out[5:7]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
+    assert all(len(line.split()) == 4 for line in out[5:7])
+    # one first traversal and 2 frames x 1 round are too few for a tail
+    assert out[7:] == ["tail by perfbench's rule: needs 11 timed traversals per method, got 3"]
+
+
+def test_tail_over_every_timed_traversal(monkeypatch, capsys):
+    # 1 first traversal and 2 frames x 5 rounds: 11 samples, so the tail is
+    # the smallest of them, at the 9.1th percentile
+    out = run_against_itself(monkeypatch, capsys, rounds=5)
+    assert out[7] == ("tail by perfbench's rule over all 11 timed traversals per method, "
+                      "first ones included (ms, p9.1):")
+    assert [line.split()[0] for line in out[8:]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
+    for line in out[8:]:
+        parent, change, ratio = map(float, line.split()[1:])
+        assert parent > 0 and change > 0
+        assert ratio == float(f"{change / parent:.3f}")
