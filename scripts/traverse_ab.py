@@ -18,9 +18,14 @@ its own, as each side's median over pyramids.
 
 Then each round traverses every frame with every method on both sides, one
 traversal of each side after the other per (frame, method), the parent first
-in even rounds and the change first in odd ones.  Every traversal's stats
-(visited, outside, inside, intersect, leaves, depth) and visible tile ids
-must be equal on the two sides, or the script stops with an error.  It
+in even rounds and the change first in odd ones.  A workload whose mode is
+``compare`` traverses with a sink that records every classified tile, as
+``abincull compare`` does (``cli._frames(keep_classified=True)``); other
+workloads traverse without one, as ``abincull run`` does.  Every
+traversal's stats (visited, outside, inside, intersect, leaves, depth),
+visible tile ids and, with the sink, classification map (tile ids and
+verdicts, in order) must be equal on the two sides, or the script stops
+with an error.  It
 prints, per method, each side's median over rounds of ms per frame, their
 ratio and the number of rounds the change was faster.  Last, per method and
 side, it prints the tail by the benchmark's rule (``perfbench.metrics.tail``,
@@ -61,9 +66,12 @@ def load_package(root: Path, name: str):
 
 
 class Side:
-    """One checkout's traversal inputs for a list of scenario files."""
+    """One checkout's traversal inputs for a list of scenario files, and
+    whether its traversals record every classified tile."""
 
-    def __init__(self, root: Path, name: str, scenario_paths: list[Path]):
+    def __init__(self, root: Path, name: str, scenario_paths: list[Path],
+                 keep_classified: bool):
+        self.keep_classified = keep_classified
         load_package(root, name)
         self.scenario = importlib.import_module(f"{name}.scenario")
         self.terrain = importlib.import_module(f"{name}.terrain")
@@ -85,15 +93,21 @@ class Side:
                                     frustum.frustum_from_camera(pose), configs))
 
     def traverse(self, frame: int, method_name: str):
-        """(seconds, stats tuple, visible ids) of one traversal."""
+        """(seconds, stats tuple, visible ids, classified) of one traversal,
+        where ``classified`` lists (tile id, verdict name) in the order the
+        sink saw them, or is empty without ``keep_classified``."""
         pyramid, params, frustum, configs = self.frames[frame]
         method, cfg = configs[method_name]
+        classified = {}
+        record = lambda tile, cls: classified.__setitem__(tile.tile_id, (tile, cls))
         t0 = time.perf_counter()
-        visible, stats = self.terrain.traverse(frustum, cfg, pyramid, params, method)
+        visible, stats = self.terrain.traverse(frustum, cfg, pyramid, params, method,
+                                               sink=record if self.keep_classified else None)
         seconds = time.perf_counter() - t0
         return seconds, (stats.visited, stats.outside, stats.inside, stats.intersect,
                          stats.leaves_rendered, stats.max_depth_reached), \
-            [tile.tile_id for tile in visible]
+            [tile.tile_id for tile in visible], \
+            [(tile_id, cls.name) for tile_id, (_, cls) in classified.items()]
 
 
 def main(argv=None) -> int:
@@ -112,11 +126,12 @@ def main(argv=None) -> int:
         ap.error("--passes and --rounds must be at least 1")
 
     workload = WORKLOADS[args.workload]
+    keep_classified = workload.mode == "compare"
     with tempfile.TemporaryDirectory(prefix="traverse_ab_") as tmp:
         directory = Path(tmp)
         workload.prepare(args.seed, directory)
         paths = [workload.write_pass(args.seed, k, directory) for k in range(args.passes)]
-        sides = {side: Side(root, f"abincull_{side}", paths)
+        sides = {side: Side(root, f"abincull_{side}", paths, keep_classified)
                  for side, root in zip(SIDES, (args.parent, args.change))}
     methods = list(sides["parent"].frames[0][3])
     frames = range(len(sides["parent"].frames))
@@ -148,8 +163,10 @@ def main(argv=None) -> int:
             for side in SIDES:
                 per_round[method][side].append(1e3 * total[method][side] / len(frames))
 
+    compared = ("stats, visible ids and classification maps"
+                if keep_classified else "stats and visible ids")
     print(f"{args.workload} seed {args.seed}: {len(frames)} frames x {args.rounds} "
-          f"rounds, stats and visible ids equal on every traversal")
+          f"rounds, {compared} equal on every traversal")
     print(f"{'method':<26}{'parent ms/frame':>16}{'change ms/frame':>16}"
           f"{'ratio':>8}  change faster")
     for method in methods:
@@ -178,10 +195,11 @@ def main(argv=None) -> int:
 
 def check(frame: int, method: str, parent, change) -> None:
     if parent != change:
-        (p_stats, p_ids), (c_stats, c_ids) = parent, change
+        (p_stats, p_ids, p_map), (c_stats, c_ids, c_map) = parent, change
         raise SystemExit(f"frame {frame} {method}: outputs differ; stats "
                          f"{p_stats} vs {c_stats}, {len(p_ids)} vs {len(c_ids)} "
-                         f"visible tiles")
+                         f"visible tiles, {len(p_map)} vs {len(c_map)} classified "
+                         f"tiles")
 
 
 if __name__ == "__main__":

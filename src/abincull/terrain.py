@@ -7,10 +7,12 @@ min/max terrain height inside it.  A tile maps to a parameter-space bin
 frustum either with the quadratic bin test or with the 8-corner world-box
 baseline; traversal recurses only into tiles that straddle the frustum
 boundary.  The start-level grid is classified in one numpy pass per frame,
-over frustum-independent geometry cached on the pyramid, with the scalar
+over one frustum-independent geometry cache per pyramid, with the scalar
 path's bits; the analytic pass first drops the tiles a per-tile reach
-screen proves OUTSIDE, and the walk visits only the start tiles that are
-not OUTSIDE.  Tiles below the start level are classified one by one.
+screen proves OUTSIDE.  The walk starts from the start tiles that are not
+OUTSIDE, or from every start tile when a sink observes the traversal, and
+takes them from one store per level, which builds each on first use.
+Tiles below the start level are classified one by one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -278,7 +280,7 @@ class MinMaxPyramid:
 
     def __init__(self, levels, empty_tiles: int,
                  lat_range: tuple[float, float], lon_range: tuple[float, float]):
-        # read-only, so that the cached start grids cannot go stale
+        # read-only, so that the cached start tiles cannot go stale
         for pair in levels:
             for heights in pair:
                 heights.flags.writeable = False
@@ -287,10 +289,8 @@ class MinMaxPyramid:
         self.lat_range = lat_range
         self.lon_range = lon_range
         self.max_level = len(levels) - 1
-        self._start_grids: dict[int, tuple[GeoTile, ...]] = {}
         self._start_tiles: dict[int, list[GeoTile | None]] = {}
         self._start_geometry: dict[tuple, tuple] = {}
-        self._start_screens: dict[tuple, tuple] = {}
 
     def _check_block(self, level: int, i: int, j: int, rows: int,
                      cols: int) -> tuple[int, int]:
@@ -334,48 +334,44 @@ class MinMaxPyramid:
         """Tile (level, i, j): bounds from its indices, heights from here."""
         return self.block(level, i, j, 1, 1)[0]
 
-    def start_grid(self, level: int) -> tuple[GeoTile, ...]:
-        """Level ``level``'s whole grid, ``block(level, 0, 0, n_lat, n_lon)``,
-        built on the first call for that level and then shared by every
-        traversal that starts there.  The tuple holds the tiles
-        ``start_tiles`` already handed out, so each start tile is one object."""
-        grid = self._start_grids.get(level)
-        if grid is None:
-            tiles = self.block(level, 0, 0, *_grid_shape(level))
-            store = self._start_tiles.get(level)
-            if store is not None:
-                tiles = [old or new for old, new in zip(store, tiles)]
-            grid = self._start_grids[level] = tuple(tiles)
-            self._start_tiles[level] = list(grid)
-        return grid
+    def start_grid(self, level: int) -> list[GeoTile]:
+        """Level ``level``'s whole grid, row by row: ``start_tiles`` at every
+        index, so it holds the same objects as every traversal that starts
+        there."""
+        n_lat, n_lon = self._check_block(level, 0, 0, 1, 1)
+        return self.start_tiles(level, range(n_lat * n_lon))
 
     def start_tiles(self, level: int, indices) -> list[GeoTile]:
-        """The tiles of ``start_grid(level)`` at the row-major ``indices``,
-        each built on first use (as ``tile``) and kept in one store per
-        level, so that a traversal that walks a few start tiles builds only
-        those."""
+        """The tiles of level ``level``'s grid at the row-major ``indices``,
+        each built on first use and kept in one store per level, so that a
+        traversal that walks a few start tiles builds only those.  Each run
+        of consecutive unbuilt indices in one grid row is built as one
+        ``block``, so the whole grid costs what one whole-level ``block``
+        does.  An index outside the grid raises ``block``'s ``ValueError``."""
+        n_lat, n_lon = self._check_block(level, 0, 0, 1, 1)
         store = self._start_tiles.get(level)
         if store is None:
-            self._check_block(level, 0, 0, 1, 1)
-            store = self._start_tiles[level] = [None] * math.prod(_grid_shape(level))
-        n_lon = _grid_shape(level)[1]
-        tiles = []
-        for k in indices:
-            tile = store[k]
-            if tile is None:
-                tile = store[k] = self.tile(level, *divmod(k, n_lon))
-            tiles.append(tile)
-        return tiles
+            store = self._start_tiles[level] = [None] * (n_lat * n_lon)
+        missing = [k for k in indices if not 0 <= k < len(store) or store[k] is None]
+        # a run of consecutive indices in one grid row keeps both k minus
+        # its position in ``missing`` and its row k // n_lon
+        for _, run in groupby(enumerate(missing), lambda p: (p[1] - p[0], p[1] // n_lon)):
+            ks = [k for _, k in run]
+            i, j = divmod(ks[0], n_lon)
+            store[ks[0]:ks[-1] + 1] = self.block(level, i, j, 1, len(ks))
+        return [store[k] for k in indices]
 
     def start_geometry(self, level: int, method: Method, radius_m: float,
                        inflation: float) -> tuple:
-        """What ``classify_tile`` computes for every tile of ``start_grid(level)``
-        before it looks at the frustum, as numpy arrays over the grid: for
-        ANALYTIC_BIN the sphere jet rows at the bin centres, the inflated
-        half-widths and their products (``_classify_centred_bins``' arguments);
-        for AABB8 the bounds of each 8-corner world hull
-        (``_classify_aabb8_arrays``').  Built on the first call for (level,
-        method, radius_m, inflation), then shared; see ``_start_geometry``.
+        """What ``classify_tile`` computes for every start tile of level
+        ``level`` before it looks at the frustum, as numpy arrays over the
+        grid: for ANALYTIC_BIN ``(rows, reach)``, the (48, n_lat * n_lon)
+        table of ``_classify_centred_bins``' arguments for each tile in
+        row-major order (``_jet_table``) and each tile's ``cull._reach``;
+        for AABB8 the six (n_lat, n_lon) bounds of each 8-corner world hull
+        (``_classify_aabb8_arrays``' arguments).  Built on the first call
+        for (level, method, radius_m, inflation), then shared; see
+        ``_start_geometry``.
         """
         key = level, method, radius_m, inflation
         geometry = self._start_geometry.get(key)
@@ -385,35 +381,25 @@ class MinMaxPyramid:
             self._start_geometry[key] = geometry
         return geometry
 
-    def start_screen(self, level: int, radius_m: float,
-                     inflation: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, reach)`` for the analytic start pass: ``rows`` stacks
-        the 48 arrays and floats of ``start_geometry(level, ANALYTIC_BIN,
-        radius_m, inflation)``, in order and each broadcast over the grid and
-        flattened row by row (``_jet_arguments`` unstacks them), and ``reach``
-        is each tile's ``cull._reach``.  Built on the first call for (level,
-        radius_m, inflation), then shared."""
-        key = level, radius_m, inflation
-        screen = self._start_screens.get(key)
-        if screen is None:
-            geometry = self.start_geometry(level, Method.ANALYTIC_BIN, radius_m, inflation)
-            value, jac, h_x, h_y, h_z, *widths = geometry
-            shape = _grid_shape(level)
-            rows = np.empty((48,) + shape)
-            for row, x in zip(rows, [*value, *(x for matrix in (jac, h_x, h_y, h_z)
-                                               for entries in matrix for x in entries),
-                                     *widths]):
-                row[...] = x
-            reach = np.broadcast_to(_reach(*geometry[1:]), shape)
-            screen = rows.reshape(48, -1), reach.ravel()
-            self._start_screens[key] = screen
-        return screen
+
+def _jet_table(geometry, shape: tuple[int, int]) -> np.ndarray:
+    """``geometry``, ``_classify_centred_bins``' arguments (value row,
+    Jacobian and three Hessians as nested row tuples, then the nine widths,
+    arrays or floats that broadcast to ``shape``), as 48 stacked rows, each
+    broadcast to ``shape`` and flattened row by row; ``_jet_arguments`` is
+    its inverse."""
+    value, jac, h_x, h_y, h_z, *widths = geometry
+    leaves = [*value, *(x for matrix in (jac, h_x, h_y, h_z) for entries in matrix
+                        for x in entries), *widths]
+    table = np.empty((len(leaves),) + shape)
+    for row, x in zip(table, leaves):
+        row[...] = x
+    return table.reshape(len(leaves), -1)
 
 
 def _jet_arguments(rows) -> tuple:
-    """The structure of the analytic ``start_geometry`` (value row, Jacobian
-    and three Hessians as nested row tuples, then the nine widths) over the
-    48 stacked ``rows`` of ``MinMaxPyramid.start_screen``."""
+    """The nested arguments of ``_classify_centred_bins`` over 48 stacked
+    ``rows`` of a ``_jet_table``."""
     leaves = list(rows)
     value = tuple(leaves[0:3])
     jac, h_x, h_y, h_z = (tuple(tuple(leaves[at + 3 * r:at + 3 * r + 3]) for r in range(3))
@@ -456,8 +442,9 @@ def _start_geometry(pyramid: MinMaxPyramid, level: int, method: Method,
         f = inflation
         w0, w1, w2 = f * hw0, f * hw1, f * hw2
         jet = _sphere_jet_algebra(c0, *_math_sin_cos(c1), *_math_sin_cos(c2))
-        return (*jet, w0, w1, w2, w0 * w1, w0 * w2, w1 * w2,
-                0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2)
+        rows = _jet_table((*jet, w0, w1, w2, w0 * w1, w0 * w2, w1 * w2,
+                           0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2), (n_lat, n_lon))
+        return rows, _reach(*_jet_arguments(rows)[1:])
     # world_aabb_of_bin over the box (-hw, hw) about the centre
     points = _sphere_corner_points(
         c0 + -hw0, c0 + hw0, (_math_sin_cos(c1 + -hw1), _math_sin_cos(c1 + hw1)),
@@ -753,46 +740,33 @@ def classify_tile(tile: GeoTile, frustum: Frustum, params: GeodeticParams,
 def _live_start_tiles(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
                       params: GeodeticParams, method: Method) -> tuple[list[int], list]:
     """``(indices, verdicts)``: the row-major indices, ascending, of the
-    tiles of ``pyramid.start_grid(cfg.start_level)`` that are not OUTSIDE,
-    and ``classify_tile(tile, ..., planes=ALL_PLANES)`` for each of them;
-    every other start tile is OUTSIDE (with mask 0 for ANALYTIC_BIN and
-    ALL_PLANES for AABB8, which always reports all six planes).
+    start tiles (``pyramid.start_tiles(cfg.start_level, ...)``) that are not
+    OUTSIDE, and ``classify_tile(tile, ..., planes=ALL_PLANES)`` for each of
+    them; every other start tile is OUTSIDE.
 
     ANALYTIC_BIN first screens the grid by each tile's cached reach
-    (``cull._screened_bins`` over ``pyramid.start_screen``): a screened tile
-    is OUTSIDE with mask 0, as ``classify_tile`` would find.  Only the
+    (``cull._screened_bins`` over ``pyramid.start_geometry``): a screened
+    tile is OUTSIDE with mask 0, as ``classify_tile`` would find.  Only the
     others go through the exact array pass, ``cull._classify_centred_bins``,
-    over their columns of the stacked geometry.  AABB8 runs its p/n-vertex
+    over their columns of the geometry table.  AABB8 runs its p/n-vertex
     pass over the whole grid.
     """
     cull = cfg.cull
+    geometry = pyramid.start_geometry(cfg.start_level, method, params.radius_m,
+                                      cull.inflation)
     if method is Method.ANALYTIC_BIN:
-        rows, reach = pyramid.start_screen(cfg.start_level, params.radius_m, cull.inflation)
+        rows, reach = geometry
         kept = np.flatnonzero(~_screened_bins(rows[0], rows[1], rows[2], reach, frustum))
         if not kept.size:
             return [], []
         candidates = zip(kept.tolist(), _classify_centred_bins(
             *_jet_arguments(rows[:, kept]), frustum, cull.extrema_mode))
     else:
-        geometry = pyramid.start_geometry(cfg.start_level, method, params.radius_m,
-                                          cull.inflation)
         candidates = enumerate(zip(_classify_aabb8_arrays(*geometry, frustum),
                                    repeat(ALL_PLANES)))
     outside = Classification.OUTSIDE
     live = [(k, verdict) for k, verdict in candidates if verdict[0] is not outside]
     return [k for k, _ in live], [verdict for _, verdict in live]
-
-
-def _classify_start_grid(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
-                         params: GeodeticParams, method: Method):
-    """``classify_tile(tile, ..., planes=ALL_PLANES)`` for every tile of
-    ``pyramid.start_grid(cfg.start_level)``, in its order, by one array pass
-    (``_live_start_tiles``)."""
-    mask = 0 if method is Method.ANALYTIC_BIN else ALL_PLANES
-    verdicts = [(Classification.OUTSIDE, mask)] * math.prod(_grid_shape(cfg.start_level))
-    for k, verdict in zip(*_live_start_tiles(frustum, cfg, pyramid, params, method)):
-        verdicts[k] = verdict
-    return verdicts
 
 
 def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
@@ -811,11 +785,12 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     per traversal (``_live_start_tiles``) over geometry cached on the
     pyramid, built on the first traversal for its level, method, radius and
     inflation; the analytic pass first drops the tiles the reach screen
-    proves OUTSIDE.  Each start tile gets the verdict and straddle mask
-    ``classify_tile`` would give it.  Then the depth-first walk runs from
-    each start tile in row order; without a sink it skips the OUTSIDE ones,
-    counts them and builds no tile for them (``pyramid.start_tiles``).
-    Tiles below the start level are classified one by one by
+    proves OUTSIDE.  Each start tile that is not OUTSIDE gets the verdict
+    and straddle mask ``classify_tile`` would give it, and the depth-first
+    walk runs from each of them in row order.  The OUTSIDE ones are counted
+    and get no tile built (``pyramid.start_tiles``), unless a sink must see
+    them: then the walk runs over the whole grid, each OUTSIDE start tile
+    with mask 0.  Tiles below the start level are classified one by one by
     ``classify_tile``.
 
     Each stacked tile carries a plane mask (Assarsson & Moeller's plane
@@ -833,18 +808,20 @@ def traverse(frustum: Frustum, cfg: TerrainConfig, pyramid: MinMaxPyramid,
     max_level = cfg.max_level
     cull = cfg.cull
     visible: list[GeoTile] = []
-    outside = inside = intersect = leaves = 0
+    inside = intersect = leaves = 0
     depth = cfg.start_level    # every start tile is visited, walked or not
     outside_cls, inside_cls = Classification.OUTSIDE, Classification.INSIDE
-    if sink is None:
-        indices, verdicts = _live_start_tiles(frustum, cfg, pyramid, params, method)
-        start_tiles = pyramid.start_tiles(cfg.start_level, indices)
-        outside = math.prod(_grid_shape(cfg.start_level)) - len(indices)
-    else:
-        start_tiles = pyramid.start_grid(cfg.start_level)
-        verdicts = _classify_start_grid(frustum, cfg, pyramid, params, method)
+    n = math.prod(_grid_shape(cfg.start_level))
+    indices, verdicts = _live_start_tiles(frustum, cfg, pyramid, params, method)
+    if sink is not None:
+        spread = [(outside_cls, 0)] * n
+        for k, verdict in zip(indices, verdicts):
+            spread[k] = verdict
+        indices, verdicts = range(n), spread
+    outside = n - len(indices)
     stack = []
-    for tile, (cls, straddled) in zip(start_tiles, verdicts):
+    for tile, (cls, straddled) in zip(pyramid.start_tiles(cfg.start_level, indices),
+                                      verdicts):
         # this start tile, then its subtree off the stack
         while True:
             level = tile.level

@@ -38,7 +38,7 @@ from abincull.cull import ALL_PLANES
 from abincull.mapping import _sphere_jet_rows, _sphere_point_rows
 from abincull.quadratic import Box3
 from abincull.scenario import METHOD_NAMES, load_scenario
-from abincull.terrain import _classify_start_grid, _edges, _grid_shape
+from abincull.terrain import _edges, _grid_shape, _live_start_tiles
 
 PARAMS = GeodeticParams()
 R = PARAMS.radius_m
@@ -246,15 +246,15 @@ class TestPyramidBlock:
 
 
 class TestStartGrid:
-    """``MinMaxPyramid.start_grid``: one cached grid per pyramid and level."""
+    """``MinMaxPyramid.start_grid`` and ``start_tiles``: one store of start
+    tiles per pyramid and level."""
 
-    def test_one_tuple_for_every_traversal_and_method(self, scenarios_dir):
+    def test_same_tiles_for_every_traversal_and_method(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "orbit_sinusoidal.json")
         pyramid = build_minmax_pyramid(sc.build_heightfield(), sc.terrain)
         level = sc.terrain.start_level
         grid = pyramid.start_grid(level)
         n_lat, n_lon = _grid_shape(level)
-        assert type(grid) is tuple
         assert [tile_bits(t) for t in grid] == [
             tile_bits(t) for t in pyramid.block(level, 0, 0, n_lat, n_lon)]
         for method in Method:
@@ -265,7 +265,32 @@ class TestStartGrid:
                 start = [t for t in seen if t.level == level]
                 assert len(start) == len(grid)
                 assert all(a is b for a, b in zip(start, grid)), (method, frame)
-        assert pyramid.start_grid(level) is grid
+        again = pyramid.start_grid(level)
+        assert len(again) == len(grid) and all(a is b for a, b in zip(again, grid))
+        assert all(a is b for a, b in zip(pyramid.start_tiles(level, [5, 0, 5]),
+                                          (grid[5], grid[0], grid[5])))
+
+    def test_start_tiles_build_only_the_requested_tiles(self):
+        pyramid = flat_pyramid(TerrainConfig(start_level=2, max_level=2), 100.0)
+        # level 2 has 8 tiles per row, so these runs cross two row ends
+        indices = [3, 4, 5, 7, 8, 9, 15, 16, 31]
+        tiles = pyramid.start_tiles(2, indices)
+        assert [tile_bits(t) for t in tiles] == [
+            tile_bits(pyramid.tile(2, *divmod(k, 8))) for k in indices]
+        assert [k for k, t in enumerate(pyramid._start_tiles[2]) if t] == indices
+        grid = pyramid.start_grid(2)
+        assert all(grid[k] is t for k, t in zip(indices, tiles))
+
+    @pytest.mark.parametrize("grid_first", [False, True])
+    def test_index_outside_the_grid_rejected(self, grid_first):
+        pyramid = flat_pyramid(TerrainConfig(start_level=2, max_level=2))
+        if grid_first:
+            pyramid.start_grid(2)
+        # level 2 has 4 x 8 tiles, so the row-major indices are 0..31
+        for k in (-1, -32, 32, 100):
+            with pytest.raises(ValueError, match="out of range for level 2"):
+                pyramid.start_tiles(2, [0, k])
+        assert pyramid.start_tiles(2, [31])[0].tile_id == "2/3/7"
 
     def test_level_arrays_are_read_only(self):
         pyramid = flat_pyramid(TerrainConfig(start_level=1, max_level=3), 100.0)
@@ -744,7 +769,7 @@ class TestTraverse:
             assert stats.visited == stats.inside == len(grid) == math.prod(_grid_shape(level))
             assert all(a is b for a, b in zip(visible, grid))
             assert {t.level for t in grid} == {level}
-        assert len({id(pyramid.start_grid(level)) for level in (2, 3, 4)}) == 3
+        assert sorted(pyramid._start_tiles) == [2, 3, 4]
 
     @pytest.mark.parametrize("method", ["ANALYTIC_BIN", "AABB8", None])
     def test_method_that_is_no_method_rejected(self, method):
@@ -1016,8 +1041,17 @@ class TestWalkWithoutSink:
             n_lon = _grid_shape(level)[1]
             for frame, frustum in enumerate(frusta):
                 bare_visible, bare = traverse(frustum, cfg, pyramid, sc.geodetic, method)
+                seen = []
                 sunk_visible, sunk = traverse(frustum, cfg, pyramid, sc.geodetic, method,
-                                              sink=lambda t, c: None)
+                                              sink=lambda t, c: seen.append((t, c)))
+                # the sink sees each start tile once, in row order, with
+                # classify_tile's verdict
+                start = [(t, c) for t, c in seen if t.level == level]
+                assert len(start) == len(grid), (scenario, frame)
+                assert all(t is want for (t, _), want in zip(start, grid)), (scenario, frame)
+                assert [c for _, c in start] == [
+                    classify_tile(t, frustum, sc.geodetic, method, cfg.cull)
+                    for t in grid], (scenario, frame)
                 bare.elapsed_ns = sunk.elapsed_ns = 0
                 assert bare == sunk, (scenario, frame)
                 assert [t.tile_id for t in bare_visible] == [t.tile_id for t in sunk_visible]
@@ -1084,11 +1118,14 @@ class TestStartLevelArrayPass:
             for frustum in frusta:
                 with monkeypatch.context() as patch:
                     patch.setattr(cull, "_kernel_state", counting_kernel)
-                    got = _classify_start_grid(frustum, cfg, pyramid, params, method)
+                    indices, verdicts = _live_start_tiles(frustum, cfg, pyramid, params,
+                                                          method)
                 want = [classify_tile(t, frustum, params, method, cfg.cull, planes=ALL_PLANES)
                         for t in grid]
-                assert got == want
-                seen |= {cls for cls, _ in got}
+                assert indices == [k for k, (cls, _) in enumerate(want)
+                                   if cls is not Classification.OUTSIDE]
+                assert verdicts == [want[k] for k in indices]
+                seen |= {cls for cls, _ in want}
         assert seen == set(Classification)
         # the analytic pass handed some planes the bound and bracket left open
         # to the kernel
@@ -1099,8 +1136,8 @@ class TestStartLevelArrayPass:
         # scalar path, in either extrema mode
         screened = tiles = 0
         for cfg, params, pyramid, frusta in terrains:
-            rows, reach = pyramid.start_screen(cfg.start_level, params.radius_m,
-                                               cfg.cull.inflation)
+            rows, reach = pyramid.start_geometry(cfg.start_level, Method.ANALYTIC_BIN,
+                                                 params.radius_m, cfg.cull.inflation)
             grid = pyramid.start_grid(cfg.start_level)
             for frustum in frusta:
                 dropped = cull._screened_bins(rows[0], rows[1], rows[2], reach, frustum)
@@ -1121,21 +1158,21 @@ class TestStartLevelArrayPass:
         for cfg, params, pyramid, _ in terrains:
             level, f = cfg.start_level, cfg.cull.inflation
             shape = _grid_shape(level)
-            jet = pyramid.start_geometry(level, Method.ANALYTIC_BIN, params.radius_m, f)
+            rows, _ = pyramid.start_geometry(level, Method.ANALYTIC_BIN, params.radius_m, f)
             hull = pyramid.start_geometry(level, Method.AABB8, params.radius_m, f)
-            got_jet = np.stack(np.broadcast_arrays(*flat_leaves(jet), np.zeros(shape)))
+            assert rows.shape == (48, math.prod(shape))
             got_hull = np.stack(np.broadcast_arrays(*hull))
-            for tile in pyramid.start_grid(level):
+            for k, tile in enumerate(pyramid.start_grid(level)):
                 center, offsets = tile_bin(tile, params)
                 c0, c1, c2 = center.tolist()
                 hw0, hw1, hw2 = offsets.hi.tolist()
                 w0, w1, w2 = f * hw0, f * hw1, f * hw2
                 want_jet = flat_leaves(_sphere_jet_rows(c0, c1, c2)) + [
                     w0, w1, w2, w0 * w1, w0 * w2, w1 * w2,
-                    0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2, 0.0]
+                    0.5 * w0 * w0, 0.5 * w1 * w1, 0.5 * w2 * w2]
                 box = world_aabb_of_bin(_sphere_point_rows, (c0, c1, c2),
                                         Box3._from_floats(-hw0, -hw1, -hw2, hw0, hw1, hw2))
-                assert (got_jet[:, tile.i, tile.j].view(np.int64).tolist()
+                assert (rows[:, k].view(np.int64).tolist()
                         == np.array(want_jet).view(np.int64).tolist()), tile.tile_id
                 assert (got_hull[:, tile.i, tile.j].view(np.int64).tolist()
                         == np.array(box.bounds).view(np.int64).tolist()), tile.tile_id

@@ -27,8 +27,10 @@ def run_against_itself(monkeypatch, capsys, rounds):
 
 def test_one_checkout_against_itself(monkeypatch, capsys):
     out = run_against_itself(monkeypatch, capsys, rounds=1)
-    assert out[0] == ("orbit-compare seed 1: 2 frames x 1 rounds, stats and visible "
-                      "ids equal on every traversal")
+    # orbit-compare is a compare workload, so both sides traverse with a
+    # recording sink and their classification maps are compared too
+    assert out[0] == ("orbit-compare seed 1: 2 frames x 1 rounds, stats, visible ids "
+                      "and classification maps equal on every traversal")
     assert [line.split()[0] for line in out[2:4]] == ["ANALYTIC_BIN_EXACT", "AABB8"]
     assert all(line.endswith(" of 1") for line in out[2:4])
     # each side's first traversal per pyramid and method, lazy set-up included;
