@@ -14,24 +14,27 @@ its own heightfield, pyramid (one per pass) and frusta once, untimed, and
 traverses every frame and method once, so that lazy set-up is done.  Of that
 warm-up only each pyramid's first traversal per method is timed: it pays the
 lazy per-pyramid set-up that every benchmark pass pays, and is reported on
-its own, as each side's median over pyramids.
+its own, as each side's median over pyramids; their ratio needs at least 5
+pyramids (``--passes 5``) and reads ``n/a`` below that, since one pass gives
+one sample per side.
 
 Then each round traverses every frame with every method on both sides, one
 traversal of each side after the other per (frame, method), the parent first
 in even rounds and the change first in odd ones.  A workload whose mode is
-``compare`` traverses with a sink that records every classified tile, as
-``abincull compare`` does (``cli._frames(keep_classified=True)``); other
-workloads traverse without one, as ``abincull run`` does.  Every
-traversal's stats (visited, outside, inside, intersect, leaves, depth),
-visible tile ids and, with the sink, classification map (tile ids and
-verdicts, in order) must be equal on the two sides, or the script stops
-with an error.  It
-prints, per method, each side's median over rounds of ms per frame, their
-ratio and the number of rounds the change was faster.  Last, per method and
-side, it prints the tail by the benchmark's rule (``perfbench.metrics.tail``,
-the 11th-largest sample) over every timed traversal, each pyramid's first
-included, so that the comparison speaks to the benchmark's gated
-``frame_ms_tail``; it needs at least 11 timed traversals per method.
+``compare`` traverses with a sink that records every (tile, verdict) pair in
+visit order, as ``abincull compare`` does
+(``cli._frames(keep_classified=True)``), and formats the tile ids after the
+timer stops; other workloads traverse without one, as ``abincull run``
+does.  Every traversal's stats (visited, outside, inside, intersect, leaves,
+depth), visible tile ids and, with the sink, classification map (tile ids
+and verdicts, in order) must be equal on the two sides, or the script stops
+with an error.  It prints, per method, each side's median over rounds of ms
+per frame, their ratio and the number of rounds the change was faster.
+Last, per method and side, it prints the tail by the benchmark's rule
+(``perfbench.metrics.tail``, the 11th-largest sample) over every timed
+traversal, each pyramid's first included, so that the comparison speaks to
+the benchmark's gated ``frame_ms_tail``; it needs at least 11 timed
+traversals per method.
 Running both sides in one process puts both under the same host load at the
 same moments, which separate benchmark runs on a busy host cannot.
 """
@@ -98,8 +101,8 @@ class Side:
         sink saw them, or is empty without ``keep_classified``."""
         pyramid, params, frustum, configs = self.frames[frame]
         method, cfg = configs[method_name]
-        classified = {}
-        record = lambda tile, cls: classified.__setitem__(tile.tile_id, (tile, cls))
+        classified = []
+        record = lambda tile, cls: classified.append((tile, cls))
         t0 = time.perf_counter()
         visible, stats = self.terrain.traverse(frustum, cfg, pyramid, params, method,
                                                sink=record if self.keep_classified else None)
@@ -107,7 +110,7 @@ class Side:
         return seconds, (stats.visited, stats.outside, stats.inside, stats.intersect,
                          stats.leaves_rendered, stats.max_depth_reached), \
             [tile.tile_id for tile in visible], \
-            [(tile_id, cls.name) for tile_id, (_, cls) in classified.items()]
+            [(tile.tile_id, cls.name) for tile, cls in classified]
 
 
 def main(argv=None) -> int:
@@ -179,7 +182,8 @@ def main(argv=None) -> int:
     print(f"first traversal per pyramid, lazy set-up included (ms, median of {count}):")
     for method in methods:
         p, c = (statistics.median(first[method][side]) for side in SIDES)
-        print(f"{method:<26}{p:>16.3f}{c:>16.3f}{c / p:>8.3f}")
+        ratio = f"{c / p:.3f}" if count >= 5 else "n/a"
+        print(f"{method:<26}{p:>16.3f}{c:>16.3f}{ratio:>8}")
     count = len(timed[methods[0]]["parent"])
     if count < 11:
         print(f"tail by perfbench's rule: needs 11 timed traversals per method, "

@@ -99,16 +99,17 @@ def classify_aabb8(box: Box3, frustum: Frustum) -> Classification:
 
 def _classify_aabb8_arrays(lo0, lo1, lo2, hi0, hi1, hi2,
                           frustum: Frustum) -> list[Classification]:
-    """``classify_aabb8`` for a grid of boxes at once: the start-level array
-    pass of the traversal.  The bounds are numpy arrays of one shape; returns
-    one ``Classification`` per box, in C order.
+    """``classify_aabb8`` for N boxes at once: the start-level array pass of
+    the traversal.  The bounds are 1-D columns of length N, the rows of the
+    (6, N) hull table of ``MinMaxPyramid.start_geometry``; returns one
+    ``Classification`` per box, in column order.
 
     The p/n-vertex distances are ``classify_aabb8``'s expressions, each
     plane's vertex chosen by the same sign tests, so they have its bits; a
     box is OUTSIDE when some plane separates it, which is what the scalar
     test's early exit returns.
     """
-    n0, n1, n2, off = np.array(frustum.plane_offsets).T.reshape((4, 6) + (1,) * np.ndim(lo0))
+    n0, n1, n2, off = np.array(frustum.plane_offsets).T.reshape(4, 6, 1)
     with np.errstate(all="ignore"):  # as in plain floats, overflow gives inf
         a0, b0 = np.where(n0 >= 0.0, lo0, hi0), np.where(n0 >= 0.0, hi0, lo0)
         a1, b1 = np.where(n1 >= 0.0, lo1, hi1), np.where(n1 >= 0.0, hi1, lo1)
@@ -118,7 +119,7 @@ def _classify_aabb8_arrays(lo0, lo1, lo2, hi0, hi1, hi2,
     ordered = (lo0 <= hi0) & (lo1 <= hi1) & (lo2 <= hi2)  # false for a NaN bound
     codes = np.where(ordered & outside, 0, np.where(ordered & inside, 1, 2))
     verdicts = Classification.OUTSIDE, Classification.INSIDE, Classification.INTERSECT
-    return [verdicts[c] for c in codes.ravel().tolist()]
+    return [verdicts[c] for c in codes.tolist()]
 
 
 @lru_cache(maxsize=64)

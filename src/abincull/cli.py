@@ -6,11 +6,11 @@ visible-tile JSON per (method, frame).  stats.csv is byte-stable across
 repeated runs, so its elapsed_ns column is a fixed 0 placeholder; measured
 wall times go to timings.csv, which is host-dependent.
 
-``compare`` walks each method's classification map once per frame; the
-sampling oracle classifies every start-level tile and every pruned tile, each
-once per frame.  It writes a comparison report
-with per-frame INTERSECT ratios and UNSOUND flags (tiles claimed OUTSIDE
-that provably contain visible surface).
+``compare`` records each method's (tile, classification) pairs in visit order
+and walks them once per frame; the sampling oracle classifies every
+start-level tile and every pruned tile, each once per frame.  It writes a
+comparison report with per-frame INTERSECT ratios and UNSOUND flags (tiles
+claimed OUTSIDE that provably contain visible surface).
 """
 
 from __future__ import annotations
@@ -62,9 +62,11 @@ STATS_COLUMNS = ("frame", "method", "visited", "outside", "inside", "intersect",
 def _frames(scenario: Scenario, base_dir, keep_classified=False):
     """Yield ``(frame, frustum, results)`` per camera, where
     ``results[name] = (visible, stats, classified)`` for each distinct method
-    name, traversed once; ``classified`` maps tile_id -> (tile,
-    classification), filled only if ``keep_classified``.  ``visible`` and
-    ``classified`` are emptied when the next frame is requested.
+    name, traversed once; ``classified`` lists the traversal's (tile,
+    classification) pairs in visit order, filled only if ``keep_classified``
+    (the sink runs inside the timed traversal, so it formats no tile id).
+    ``visible`` and ``classified`` are emptied when the next frame is
+    requested.
     """
     pyramid = build_minmax_pyramid(scenario.build_heightfield(base_dir), scenario.terrain)
     configs = {}
@@ -79,8 +81,8 @@ def _frames(scenario: Scenario, base_dir, keep_classified=False):
         frustum = frustum_from_camera(pose)
         results = {}
         for name, (method, cfg) in configs.items():
-            classified = {}
-            record = lambda tile, cls: classified.__setitem__(tile.tile_id, (tile, cls))
+            classified = []
+            record = lambda tile, cls: classified.append((tile, cls))
             visible, stats = traverse(frustum, cfg, pyramid, scenario.geodetic, method,
                                       sink=record if keep_classified else None)
             results[name] = visible, stats, classified
@@ -129,14 +131,16 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
 
     Per frame: every distinct method traverses once (stats feed the
     INTERSECT ratio).  ``traverse`` classifies the whole start-level grid
-    first, so each method's grid verdicts are read back from its
-    classification map in the same single walk that oracle-checks every tile
-    it pruned, so unsound prunes at any depth are flagged.  A start-level or
-    pruned tile gets its oracle verdict the first time the frame needs it,
+    first, so each method's grid verdicts are read back from its list of
+    (tile, classification) pairs in the same single walk that oracle-checks
+    every tile it pruned, so unsound prunes at any depth are flagged; a
+    tile's id is formatted only there, for a start-level or pruned tile.
+    Such a tile gets its oracle verdict the first time the frame needs it,
     memoised across methods; the start grid's verdicts fill the oracle side
     of the identical-tile-set pair table.
     ``frame_callback(frame, frustum, classified_by_method)`` sees each
-    frame's full classification maps before they are discarded.
+    frame's full lists of (tile, classification) pairs, in visit order,
+    before they are discarded.
     """
     if len(scenario.methods) < 2:
         raise ScenarioError("$.methods: compare needs at least 2 methods")
@@ -158,12 +162,14 @@ def run_compare(scenario: Scenario, out_dir=None, base_dir=None,
             stats_by_method[method_name].append(stats)
             # in row order: the traversal visits the start grid that way
             grid = grid_runs[method_name][frame] = {}
-            for tile_id, (tile, cls) in classified.items():
+            for tile, cls in classified:
                 pruned = cls is Classification.OUTSIDE
-                if tile.level == start_level:
-                    grid[tile_id] = cls
-                elif not pruned:
+                start = tile.level == start_level
+                if not (start or pruned):
                     continue
+                tile_id = tile.tile_id
+                if start:
+                    grid[tile_id] = cls
                 if tile_id not in oracle_states:
                     center, offsets = tile_bin(tile, params)
                     oracle_states[tile_id] = sample_oracle(map_fn, center, offsets,

@@ -318,10 +318,9 @@ def _classify_centred_bins(value, jac, h_x, h_y, h_z, w0, w1, w2, w01, w02, w12,
 
     The jet rows are those of ``_sphere_jet_algebra`` and the box of bin k
     has half-widths (w0, w1, w2)[k], with w01 = w0 * w1, w02 = w0 * w2,
-    w12 = w1 * w2 and sq_i = 0.5 * w_i * w_i.  The value rows are arrays of
-    the grid's shape; every other argument is an array (or float) that
-    broadcasts to it.  Returns one ``(classification, straddled)`` pair per
-    bin, in the grid's C order.
+    w12 = w1 * w2 and sq_i = 0.5 * w_i * w_i.  Every jet entry and width is
+    a 1-D column over the N bins.  Returns one ``(classification,
+    straddled)`` pair per bin, in column order.
 
     The plane terms come from ``_plane_terms`` with each plane component an
     array over the six planes, and the interval bound and the corner bracket
@@ -335,9 +334,8 @@ def _classify_centred_bins(value, jac, h_x, h_y, h_z, w0, w1, w2, w01, w02, w12,
     decided, of bins no plane has separated so far, go to the extrema kernel
     one by one, bin by bin in plane order.
     """
-    grid = np.shape(value[0])
-    # one "plane" whose six components are arrays over the frustum's planes
-    planes = np.array(frustum.plane_scalars).T.reshape((6, 6) + (1,) * len(grid))
+    # one "plane" whose six components are (6, 1) columns over the frustum's planes
+    planes = np.array(frustum.plane_scalars).T.reshape(6, 6, 1)
     with np.errstate(all="ignore"):  # as in plain floats, overflow gives inf
         (b0, b1, b2, h00, h01, h02, h11, h12, h22, d), = _plane_terms(
             value, jac, h_x, h_y, h_z, [tuple(planes)])
@@ -359,20 +357,18 @@ def _classify_centred_bins(value, jac, h_x, h_y, h_z, w0, w1, w2, w01, w02, w12,
                     + eps <= d)
                    & (d <= qs + np.maximum(np.maximum(e + up, f + um), np.maximum(vp - f, vm - e))
                       - eps))
-    # d has the (6,) + grid shape, and so have the three masks
-    bits = (1 << np.arange(6)).reshape((6,) + (1,) * len(grid))
-    straddled = np.where(bracket & ~inside, bits, 0).sum(axis=0).ravel().tolist()
-    separated = outside.any(axis=0).ravel()
+    # every plane term, d and the three masks are (6, N)
+    bits = (1 << np.arange(6)).reshape(6, 1)
+    straddled = np.where(bracket & ~inside, bits, 0).sum(axis=0).tolist()
+    separated = outside.any(axis=0)
     # bin-major, so that nonzero walks bin by bin in plane order
-    undecided = (~(outside | inside | bracket)).reshape(6, -1).T
-    bins, planes = np.nonzero(undecided & ~separated[:, None])
+    bins, planes = np.nonzero((~(outside | inside | bracket)).T & ~separated[:, None])
     separated = separated.tolist()
     if bins.size:
         extrema = _EXTREMA[mode]
-        at = (planes, *np.unravel_index(bins, grid))
-        columns = [np.broadcast_to(x, d.shape)[at].tolist()
+        columns = [x[planes, bins].tolist()
                    for x in (b0, b1, b2, h00, h01, h02, h11, h12, h22, d)]
-        widths = [np.broadcast_to(w, grid)[at[1:]].tolist() for w in (w0, w1, w2)]
+        widths = [w[bins].tolist() for w in (w0, w1, w2)]
         for n, k, *terms, hw0, hw1, hw2 in zip(bins.tolist(), planes.tolist(),
                                                 *columns, *widths):
             if separated[n]:

@@ -368,8 +368,9 @@ class MinMaxPyramid:
         grid: for ANALYTIC_BIN ``(rows, reach)``, the (48, n_lat * n_lon)
         table of ``_classify_centred_bins``' arguments for each tile in
         row-major order (``_jet_table``) and each tile's ``cull._reach``;
-        for AABB8 the six (n_lat, n_lon) bounds of each 8-corner world hull
-        (``_classify_aabb8_arrays``' arguments).  Built on the first call
+        for AABB8 the (6, n_lat * n_lon) table of each tile's 8-corner world
+        hull bounds in row-major order, whose rows are
+        ``_classify_aabb8_arrays``' arguments.  Built on the first call
         for (level, method, radius_m, inflation), then shared; see
         ``_start_geometry``.
         """
@@ -457,7 +458,7 @@ def _start_geometry(pyramid: MinMaxPyramid, level: int, method: Method,
             low, high = np.where(x < low, x, low), np.where(x > high, x, high)
         lo.append(low)
         hi.append(high)
-    return (*lo, *hi)
+    return np.array(lo + hi).reshape(6, -1)
 
 
 def _closed_minmax(h_min: np.ndarray, h_max: np.ndarray, coords: np.ndarray,

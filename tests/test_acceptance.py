@@ -81,7 +81,7 @@ def _parity_collector(scenario, acc):
     inflation = scenario.terrain.cull.inflation
 
     def callback(frame, frustum, classified_by_method):
-        for tile, _cls in classified_by_method["ANALYTIC_BIN_EXACT"].values():
+        for tile, _cls in classified_by_method["ANALYTIC_BIN_EXACT"]:
             center, offsets = tile_bin(tile, params)
             jet = sphere_jet(params, center)
             inflated = inflate_bin(offsets, inflation)

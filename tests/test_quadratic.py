@@ -213,6 +213,36 @@ class TestExactExtrema:
         assert ext.max_val == pytest.approx(1.0)
         assert abs(ext.argmax[0]) < 1e-9 and ext.argmax[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_edge_maximum_found_per_axis(self, a):
+        # value 0.5 p_a - p_a^2 + p_u + p_v: unique max 2.0625 at p_a = 0.25,
+        # p_u = p_v = 1, inside an edge parallel to axis a; no facet or
+        # interior system is regular, so only that axis's edge solve finds it
+        b, h = np.ones(3), np.zeros((3, 3))
+        b[a], h[a, a] = 0.5, -2.0
+        ext = box_extrema_exact(quad(b=b, h=h), UNIT_BOX)
+        want = np.ones(3)
+        want[a] = 0.25
+        assert ext.max_val == pytest.approx(2.0625, rel=1e-12)
+        assert ext.argmax == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_facet_maximum_found_per_axis(self, a):
+        # value p_a + p_u - 1.25 p_v - p_u^2 - p_v^2 + p_u p_v: unique max
+        # 1.4375 at p_a = 1, (p_u, p_v) = (0.25, -0.5), inside the facet
+        # normal to axis a; only that facet's 2x2 solve finds it
+        u, v = (k for k in range(3) if k != a)
+        b, h = np.zeros(3), np.zeros((3, 3))
+        b[a], b[u], b[v] = 1.0, 1.0, -1.25
+        h[u, u] = h[v, v] = -2.0
+        h[u, v] = h[v, u] = 1.0
+        ext = box_extrema_exact(quad(b=b, h=h), UNIT_BOX)
+        want = np.zeros(3)
+        want[a], want[u], want[v] = 1.0, 0.25, -0.5
+        assert ext.max_val == pytest.approx(1.4375, rel=1e-12)
+        assert ext.argmax[a] == 1.0
+        assert ext.argmax == pytest.approx(want, abs=1e-12)
+
     def test_convex_bowl(self):
         ext = box_extrema_exact(quad(h=I3), UNIT_BOX)
         assert (ext.min_val, ext.max_val) == pytest.approx((0.0, 1.5))

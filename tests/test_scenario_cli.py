@@ -558,8 +558,8 @@ class TestFrameLoop:
         frames = []
 
         def check(frame, frustum, classified_by_method):
-            wanted = {tile_id for classified in classified_by_method.values()
-                      for tile_id, (tile, cls) in classified.items()
+            wanted = {tile.tile_id for classified in classified_by_method.values()
+                      for tile, cls in classified
                       if tile.level == sc.terrain.start_level
                       or cls is Classification.OUTSIDE}
             assert len(frusta) == len(wanted) > 0, frame

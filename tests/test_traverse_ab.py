@@ -4,9 +4,9 @@ import sys
 from conftest import repo_root
 
 
-def run_against_itself(monkeypatch, capsys, rounds):
+def run_against_itself(monkeypatch, capsys, rounds, passes=1):
     """The script's output lines for this checkout against itself on
-    orbit-compare, whose one pass has 2 frames."""
+    orbit-compare, whose passes have 2 frames each."""
     # both sides load this checkout's src/abincull under their own package
     # names; the script checks every traversal's stats and visible ids
     root = repo_root()
@@ -17,7 +17,7 @@ def run_against_itself(monkeypatch, capsys, rounds):
     script = runpy.run_path(str(root / "scripts" / "traverse_ab.py"))
     try:
         assert script["main"]([str(root), str(root), "--workload", "orbit-compare",
-                               "--rounds", str(rounds)]) == 0
+                               "--rounds", str(rounds), "--passes", str(passes)]) == 0
     finally:
         for name in list(sys.modules):
             if name.startswith(("abincull_parent", "abincull_change")):
@@ -52,4 +52,15 @@ def test_tail_over_every_timed_traversal(monkeypatch, capsys):
     for line in out[8:]:
         parent, change, ratio = map(float, line.split()[1:])
         assert parent > 0 and change > 0
+        assert ratio == float(f"{change / parent:.3f}")
+
+
+def test_first_traversal_ratio_needs_five_pyramids(monkeypatch, capsys):
+    # one pass gives one first traversal per side: no ratio; five give one
+    out = run_against_itself(monkeypatch, capsys, rounds=1)
+    assert [line.split()[3] for line in out[5:7]] == ["n/a", "n/a"]
+    out = run_against_itself(monkeypatch, capsys, rounds=1, passes=5)
+    assert out[4] == "first traversal per pyramid, lazy set-up included (ms, median of 5):"
+    for line in out[5:7]:
+        parent, change, ratio = map(float, line.split()[1:])
         assert ratio == float(f"{change / parent:.3f}")
